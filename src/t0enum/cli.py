@@ -60,11 +60,16 @@ def _parse_range(text):
 
 def _budget_from_args(args):
     max_cells = getattr(args, "max_cells", None)
-    if max_cells is None:
-        env = os.environ.get("T0ENUM_BUDGET_CELLS")
-        max_cells = int(env) if env else OracleBudget.max_cells
-    max_universe = getattr(args, "max_universe", None) or OracleBudget.max_universe
-    return OracleBudget(max_cells=max_cells, max_universe=max_universe)
+    max_universe = getattr(args, "max_universe", None)
+    try:
+        if max_cells is None:
+            env = os.environ.get("T0ENUM_BUDGET_CELLS")
+            max_cells = int(env) if env else OracleBudget.max_cells
+        if max_universe is None:
+            max_universe = OracleBudget.max_universe
+        return OracleBudget(max_cells=max_cells, max_universe=max_universe)
+    except ValueError as exc:
+        raise CliError(EXIT_BAD_ARGS, f"bad budget: {exc}")
 
 
 def _resolve(class_id):
@@ -275,7 +280,7 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
-    p.add_argument("--max-cells", type=int, help="override the m*n enumeration cap")
+    p.add_argument("--max-cells", type=int, help="override the m*n cap; the row-multiset walk is capped at 2^max-cells")
     p.add_argument("--max-universe", type=int, help="override the 2^n multiset cap")
     p.set_defaults(func=cmd_oracle)
 

@@ -39,12 +39,17 @@ class IncidenceMatrix:
         n = len(bit_rows[0]) if bit_rows else 1
         return cls(n=n, rows=rows)
 
-    def column(self, j):
-        """Column j (1-based) as an int with edge i on bit i-1."""
-        return sum(((r >> (j - 1)) & 1) << i for i, r in enumerate(self.rows))
-
     def columns(self):
-        return [self.column(j) for j in range(1, self.n + 1)]
+        """All n columns, vertex j as an int with edge i on bit i-1, built in
+        one pass over the set bits of the rows."""
+        cols = [0] * self.n
+        for i, r in enumerate(self.rows):
+            edge = 1 << i
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= edge
+                r ^= low
+        return cols
 
 
 def canonical_row_code(bits):
@@ -158,38 +163,36 @@ def is_connected(matrix):
     """Every pair of vertices is joined by a chain of pairwise-intersecting
     edges.
 
-    Implemented as union-find over vertices merged within each edge; empty
-    edges merge nothing, an isolated vertex with n >= 2 breaks connectivity,
-    and n = 1 counts as connected regardless of edges.
+    Empty edges merge nothing, an isolated vertex with n >= 2 breaks
+    connectivity, and n = 1 counts as connected regardless of edges.
     """
-    n = matrix.n
+    return _connected(matrix.rows, matrix.n, is_cover(matrix))
+
+
+def _connected(rows, n, cover):
+    """Connectivity of the edges `rows` on n vertices, given whether they
+    cover every vertex.
+
+    Components are kept as vertex bitmasks; each edge merges the components
+    it meets.  A cover is connected iff one component remains."""
     if n == 1:
         return True
-    if 0 in matrix.columns():
+    if not cover:
         return False
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r in matrix.rows:
-        first = None
-        j = 0
-        while r:
-            if r & 1:
-                if first is None:
-                    first = j
-                else:
-                    a, b = find(first), find(j)
-                    if a != b:
-                        parent[b] = a
-            r >>= 1
-            j += 1
-    root = find(0)
-    return all(find(j) == root for j in range(1, n))
+    components = []
+    for r in rows:
+        if not r:
+            continue
+        merged = r
+        rest = []
+        for c in components:
+            if c & r:
+                merged |= c
+            else:
+                rest.append(c)
+        rest.append(merged)
+        components = rest
+    return len(components) == 1
 
 
 def is_minimal_cover(matrix):
@@ -270,18 +273,29 @@ class MatrixFeatures:
 
 
 def matrix_features(matrix):
+    """Features of one matrix; the columns are built once and every column
+    predicate is read off them (same truth table as the `is_*`/`has_*`
+    predicates above).  Every field is invariant under reordering the rows."""
+    rows = matrix.rows
+    m, n = len(rows), matrix.n
+    cols = matrix.columns()
+    col_set = set(cols)
+    # For m = 0 every column is 0 == full, so both vertex conventions hold.
+    full = (1 << m) - 1
+    cover = 0 not in col_set
+    common_vertex = full in col_set
     return MatrixFeatures(
-        rows_distinct=len(set(matrix.rows)) == matrix.m,
-        empty_edge=has_empty_edge(matrix),
-        full_edge=has_full_edge(matrix),
-        cover=is_cover(matrix),
-        common_vertex=has_common_vertex(matrix),
-        singular=has_singular_vertex(matrix),
-        t0=is_t0(matrix),
-        connected=is_connected(matrix),
-        minimal=is_minimal_cover(matrix),
-        row_sizes=tuple(sorted(row_sizes(matrix))),
-        col_sizes=tuple(sorted(column_sizes(matrix))),
+        rows_distinct=len(set(rows)) == m,
+        empty_edge=0 in rows,
+        full_edge=_full_row(n) in rows,
+        cover=cover,
+        common_vertex=common_vertex,
+        singular=common_vertex or not cover,
+        t0=len(col_set) == n,
+        connected=_connected(rows, n, cover),
+        minimal=cover and all((1 << i) in col_set for i in range(m)),
+        row_sizes=tuple(sorted(map(int.bit_count, rows))),
+        col_sizes=tuple(sorted(map(int.bit_count, cols))),
     )
 
 

@@ -1,21 +1,32 @@
 """Exhaustive ground-truth counting for small (m, n).
 
-The oracle is the referee for every catalog formula: it enumerates all
-matrices of the requested shape under the spec's row convention and counts
-the ones that satisfy the spec.  Enumeration order is fixed (row-major over
-canonical row codes) so failures are reproducible by index.
+The oracle is the referee for every catalog formula: it counts the (m, n)
+matrices of the spec's row convention that satisfy the spec.
 
-Per (kind, m, n) cell the oracle extracts `MatrixFeatures` for every matrix
-once and aggregates them into a Counter; evaluating a spec then only walks
-the (much smaller) set of distinct feature records.  `features_satisfy` is
-property-tested against `satisfies` so the fast path cannot drift.
+Every `MatrixFeatures` field is invariant under reordering the rows, and
+three of the four row conventions are quotients of the ordered matrices by
+row permutations.  So per (m, n) the oracle walks each multiset of m row
+codes once, in a fixed order (nondecreasing canonical codes), extracts its
+features and adds them to three Counters at once:
+
+* 'multisets' (convention 4): weight 1;
+* 'sets' (convention 3): multisets with distinct rows, weight 1;
+* 'ordered' (conventions 1 and 2): the number of row orders of the
+  multiset, m! / prod(mult!), the size of its orbit under row permutations
+  (Harary & Palmer, Graphical Enumeration, 1973, ch. 2).
+
+Evaluating a spec then only walks the (much smaller) set of distinct
+feature records.  `features_satisfy` is property-tested against
+`satisfies`, and the counts are pinned to a plain enumeration of all
+ordered matrices in the tests, so the fast path cannot drift.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement
+from math import comb, factorial
 
-from .hypercore import IncidenceMatrix, features_satisfy, matrix_features, satisfies
+from .hypercore import IncidenceMatrix, features_satisfy, matrix_features
 
 
 class BudgetExceededError(RuntimeError):
@@ -29,114 +40,94 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Enumeration caps: max_cells bounds m*n for ordered sweeps,
-    max_universe bounds 2**n for the multiset conventions."""
+    """Enumeration caps: max_cells bounds m*n for the ordered conventions,
+    max_universe bounds 2**n for the unordered ones.  Every convention is
+    answered by one walk over the C(2**n + m - 1, m) row multisets, which
+    may not exceed 2**max_cells, the size of the largest ordered cell."""
 
     max_cells: int = 20
     max_universe: int = 64
 
     def __post_init__(self):
         if self.max_cells < 1 or self.max_universe < 2:
-            raise ValueError("budget caps must be positive")
+            raise ValueError("budget caps out of range: need max_cells >= 1 and max_universe >= 2")
 
     def check(self, convention, m, n):
+        # Powers of two are compared by bit length and never printed, so a
+        # huge n or cap can neither allocate nor format a huge integer.
         if convention in (1, 2):
             if m * n > self.max_cells:
                 raise BudgetExceededError(
                     f"m*n = {m*n} exceeds max_cells = {self.max_cells}", m=m, n=n
                 )
-        else:
-            if 2**n > self.max_universe:
-                raise BudgetExceededError(
-                    f"2**n = {2**n} exceeds max_universe = {self.max_universe}", m=m, n=n
-                )
+        elif n >= self.max_universe.bit_length():  # 2**n > max_universe
+            raise BudgetExceededError(
+                f"2**{n} exceeds max_universe = {self.max_universe}", m=m, n=n
+            )
+        walk = comb(2**n + m - 1, m)
+        if (walk - 1).bit_length() > self.max_cells:  # walk > 2**max_cells
+            raise BudgetExceededError(
+                f"C(2**{n} + {m} - 1, {m}) row multisets exceed 2**{self.max_cells}", m=m, n=n
+            )
 
 
 DEFAULT_BUDGET = OracleBudget()
 
+# (kind, m, n) -> Counter of MatrixFeatures, kind in 'ordered', 'sets',
+# 'multisets'; one walk fills all three kinds of a cell.
 _FEATURE_CACHE = {}
 
 
 def _feature_counter(kind, m, n):
-    """Counter of MatrixFeatures over all (m, n) matrices of one enumeration
-    kind: 'ordered' (all row tuples), 'sets' (strictly increasing codes),
-    'multisets' (nondecreasing codes)."""
+    """Counter of MatrixFeatures over the (m, n) matrices of one kind,
+    weighted as in the module docstring."""
     key = (kind, m, n)
     hit = _FEATURE_CACHE.get(key)
     if hit is not None:
         return hit
-    universe = range(1 << n)
-    if kind == "ordered":
-        rows_iter = product(universe, repeat=m)
-    elif kind == "sets":
-        rows_iter = combinations(universe, m)
-    else:
-        rows_iter = combinations_with_replacement(universe, m)
-    counter = Counter()
-    for rows in rows_iter:
-        counter[matrix_features(IncidenceMatrix(n=n, rows=rows))] += 1
-    _FEATURE_CACHE[key] = counter
-    return counter
+    multisets, ordered = Counter(), Counter()
+    m_factorial = factorial(m)
+    for rows in combinations_with_replacement(range(1 << n), m):
+        feats = matrix_features(IncidenceMatrix(n=n, rows=rows))
+        multisets[feats] += 1
+        ordered[feats] += m_factorial // _multiplicity_factorials(rows)
+    _FEATURE_CACHE[("multisets", m, n)] = multisets
+    _FEATURE_CACHE[("sets", m, n)] = Counter({f: c for f, c in multisets.items() if f.rows_distinct})
+    _FEATURE_CACHE[("ordered", m, n)] = ordered
+    return _FEATURE_CACHE[key]
+
+
+def _multiplicity_factorials(rows):
+    """prod(mult!) over the distinct codes of a nondecreasing row tuple."""
+    denominator, run = 1, 1
+    for prev, cur in zip(rows, rows[1:]):
+        run = run + 1 if cur == prev else 1
+        denominator *= run
+    return denominator
 
 
 def count(spec, m, n, budget=DEFAULT_BUDGET):
     """Exact number of labelled (m, n)-hypergraphs in the class.
 
-    Convention 2 filters all 2**(m*n) matrices; convention 1 keeps those with
-    pairwise-distinct rows; conventions 3 and 4 enumerate strictly increasing
-    / nondecreasing sequences of canonical row codes.
+    One orbit-weighted walk over row multisets serves every convention:
+    convention 2 reads the 'ordered' counter (multinomial weights, so all
+    2**(m*n) matrices), convention 1 the same counter restricted to
+    pairwise-distinct rows, and conventions 3 and 4 the unweighted
+    'sets' / 'multisets' counters.
     """
     if m < 1 or n < 1:
         raise ValueError("oracle counts need m >= 1 and n >= 1")
     conv = spec.row_convention
     budget.check(conv, m, n)
-    if conv in (1, 2):
-        counter = _feature_counter("ordered", m, n)
-        distinct_only = conv == 1
-    else:
-        counter = _feature_counter("sets" if conv == 3 else "multisets", m, n)
-        distinct_only = False
+    kind = {1: "ordered", 2: "ordered", 3: "sets", 4: "multisets"}[conv]
+    counter = _feature_counter(kind, m, n)
     total = 0
     for feats, mult in counter.items():
-        if distinct_only and not feats.rows_distinct:
+        if conv == 1 and not feats.rows_distinct:
             continue
         if features_satisfy(feats, spec):
             total += mult
     return total
-
-
-def count_dual(spec, m, n, budget=DEFAULT_BUDGET):
-    """Number of (m, n) matrices whose transpose satisfies the spec.
-
-    The spec's row convention is applied to the columns (= rows of the
-    transpose), so for conventions 1 and 2 this equals count(spec, n, m) via
-    the transpose bijection; the equality is a test, not the implementation.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("oracle counts need m >= 1 and n >= 1")
-    conv = spec.row_convention
-    budget.check(2, m, n)
-    nospec_conv = _strip_convention(spec)
-    total = 0
-    for rows in product(range(1 << n), repeat=m):
-        matrix = IncidenceMatrix(n=n, rows=rows)
-        cols = tuple(matrix.columns())
-        if conv == 1 and len(set(cols)) != n:
-            continue
-        if conv == 3 and any(cols[i] >= cols[i + 1] for i in range(n - 1)):
-            continue
-        if conv == 4 and any(cols[i] > cols[i + 1] for i in range(n - 1)):
-            continue
-        dual = IncidenceMatrix(n=m, rows=cols)
-        if satisfies(dual, nospec_conv):
-            total += 1
-    return total
-
-
-def _strip_convention(spec):
-    from dataclasses import replace
-
-    return replace(spec, row_convention=2)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -70,6 +71,27 @@ def test_oracle_budget_env_override(monkeypatch):
     monkeypatch.setenv("T0ENUM_BUDGET_CELLS", "6")
     code, text = run_cli("oracle", "--class", "alpha_02", "--m", "2", "--n", "3")
     assert code == 0 and int(text) == 2**6
+
+
+def test_oracle_multiset_walk_over_budget_exits_quickly():
+    # 2^6 rows are within max_universe, but C(72, 9) multisets are not
+    # within 2^max_cells: refused before any enumeration
+    start = time.perf_counter()
+    assert run_cli("oracle", "--class", "alpha_04", "--m", "9", "--n", "6")[0] == 4
+    assert time.perf_counter() - start < 5
+
+
+def test_oracle_huge_universe_is_refused_without_formatting_it():
+    # 2^20000 has more decimal digits than int -> str allows
+    assert run_cli("oracle", "--class", "alpha_04", "--m", "1", "--n", "20000")[0] == 4
+
+
+def test_oracle_max_cells_out_of_range_is_bad_args():
+    assert run_cli("oracle", "--class", "alpha_02", "--m", "2", "--n", "2", "--max-cells", "0")[0] == 2
+
+
+def test_oracle_max_universe_zero_is_not_the_default():
+    assert run_cli("oracle", "--class", "alpha_04", "--m", "2", "--n", "2", "--max-universe", "0")[0] == 2
 
 
 def test_verify_single_class_ok():

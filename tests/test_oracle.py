@@ -1,19 +1,13 @@
 import math
 import random
 from dataclasses import replace
-from itertools import product
 
 import pytest
+from brute_reference import brute_counts, count_dual
 
 from t0enum.exactmath import falling, stirling2
-from t0enum.hypercore import ClassSpec, IncidenceMatrix, satisfies
-from t0enum.oracle import (
-    BudgetExceededError,
-    OracleBudget,
-    count,
-    count_dual,
-    verify_grid,
-)
+from t0enum.hypercore import ClassSpec
+from t0enum.oracle import BudgetExceededError, OracleBudget, count, verify_grid
 
 T0 = ClassSpec(row_convention=2, require_t0=True)
 
@@ -24,24 +18,33 @@ def test_count_examples():
     assert count(ClassSpec(row_convention=2, require_cover=True), 2, 2) == 9
 
 
+# Fixed specs for the brute-force pin; each is counted under all four row
+# conventions.
+REFERENCE_SPECS = [
+    ClassSpec(),
+    ClassSpec(require_t0=True),
+    ClassSpec(require_minimal_cover=True),
+    ClassSpec(require_connected=True, forbid_empty_edges=True),
+    ClassSpec(vertex_degree=("at_most_cover", 2)),
+    ClassSpec(require_cover=True, forbid_full_edges=True),
+    ClassSpec(uniformity=("exact", 2), vertex_degree=("exact_cover", 2)),
+    ClassSpec(require_t0=True, forbid_singular=True, uniformity=("at_most", 2)),
+]
+
+
 def test_count_matches_direct_filter():
-    # the feature fast path must agree with literal enumeration + satisfies
-    specs = [
-        T0,
-        ClassSpec(row_convention=2, require_cover=True, forbid_full_edges=True),
-        ClassSpec(row_convention=1, require_connected=True),
-        ClassSpec(row_convention=2, forbid_singular=True),
-    ]
-    for spec in specs:
-        for m in range(1, 4):
-            for n in range(1, 4):
-                direct = sum(
-                    1
-                    for rows in product(range(1 << n), repeat=m)
-                    if (spec.row_convention != 1 or len(set(rows)) == m)
-                    and satisfies(IncidenceMatrix(n=n, rows=rows), spec)
-                )
-                assert count(spec, m, n) == direct
+    # the orbit-weighted multiset walk must agree with a literal enumeration
+    # of every ordered matrix + satisfies, on every cell with m*n <= 12
+    budget = OracleBudget(max_cells=12, max_universe=1 << 12)
+    for m in range(1, 13):
+        for n in range(1, 12 // m + 1):
+            expected = brute_counts(REFERENCE_SPECS, m, n)
+            for spec, by_convention in zip(REFERENCE_SPECS, expected):
+                got = [
+                    count(replace(spec, row_convention=c), m, n, budget=budget)
+                    for c in (1, 2, 3, 4)
+                ]
+                assert got == by_convention, (spec, m, n)
 
 
 def test_count_conventions_3_and_4():
@@ -140,6 +143,16 @@ def test_budget_enforcement():
     with pytest.raises(BudgetExceededError):
         count(ClassSpec(row_convention=4), 2, 3, budget=tight)
     assert count(T0, 2, 3, budget=OracleBudget(max_cells=6)) == falling(4, 3)
+
+
+def test_budget_bounds_multiset_walk():
+    # conventions 3/4 walk C(2^n + m - 1, m) multisets; the walk may not
+    # exceed 2^max_cells even when 2^n is within max_universe
+    with pytest.raises(BudgetExceededError):
+        count(ClassSpec(row_convention=4), 9, 6)
+    with pytest.raises(BudgetExceededError):
+        count(ClassSpec(row_convention=3), 4, 3, budget=OracleBudget(max_cells=8))
+    assert count(ClassSpec(row_convention=3), 4, 3, budget=OracleBudget(max_cells=9)) == math.comb(8, 4)
 
 
 def test_verify_grid_examples():
