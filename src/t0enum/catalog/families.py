@@ -174,17 +174,6 @@ def theta_11(m, n, k):
     return sum((-1) ** i * binom(n, i) * falling(binom(n - i, k), m) for i in range(n - k + 1))
 
 
-def theta_prime_01(m, n, k):
-    """As theta_01 but with one extra admissible row (the empty edge)."""
-    return falling(binom(n, k) + 1, m)
-
-
-def theta_prime_11(m, n, k):
-    return sum(
-        (-1) ** i * binom(n, i) * falling(binom(n - i, k) + 1, m) for i in range(n - k + 1)
-    )
-
-
 def theta_3plus(j, m, n, k):
     """k-edge classes without a common vertex: pin i common vertices, the
     rest is the same class with k - i on n - i.  Zero for m = 1 (one k-edge
@@ -448,10 +437,6 @@ def bbar_beta_star_13(m, n):
 # ---------------------------------------------------------------------------
 # connected families
 
-def _lam(conv, x, j):
-    return selections(conv, x, j)
-
-
 @cache
 def omega_1(conv, m, n):
     """Connected hypergraphs without empty edges, by removing everything
@@ -469,8 +454,8 @@ def omega_1(conv, m, n):
     memo = {(i, j): omega_1(conv, i, j) for i in range(1, m + 1) for j in range(1, n)}
     nu_mode = "ordered" if conv in (1, 2) else "unordered"
     return connected_count(
-        alpha=lambda mm, jj: _lam(conv, 2**jj - 1, mm),
-        alpha_iso=lambda mm, nn: _lam(conv, 2 ** (nn - 1) - 1, mm),
+        alpha=lambda mm, jj: selections(conv, 2**jj - 1, mm),
+        alpha_iso=lambda mm, nn: selections(conv, 2 ** (nn - 1) - 1, mm),
         nu_mode=nu_mode,
         m=m,
         n=n,

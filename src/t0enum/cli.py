@@ -3,14 +3,15 @@
 Exit codes are a contract for CI gating:
   0 success / verified, 1 formula-vs-oracle mismatch, 2 bad arguments,
   3 unknown class (or one that has no formula where one is needed),
-  4 enumeration budget exceeded.
+  4 enumeration budget exceeded (also: a verify grid whose every cell was
+  over budget), 5 internal error (an uncaught exception; traceback on stderr).
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+import traceback
 
 from . import catalog
 from .catalog import OracleOnlyClassError, UnknownClassError
@@ -23,18 +24,9 @@ EXIT_MISMATCH = 1
 EXIT_BAD_ARGS = 2
 EXIT_UNKNOWN_CLASS = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 MAX_EGF_ORDER = 6
-
-
-@dataclass
-class TableRequest:
-    class_id: str
-    m_range: range
-    n_range: range
-    k: int = None
-    format: str = "tsv"
-    errata_corrected: bool = False
 
 
 class CliError(Exception):
@@ -89,40 +81,33 @@ def _entry_formula_value(entry, m, n, k, errata_corrected):
 
 
 def cmd_table(args, out):
-    req = TableRequest(
-        class_id=args.class_id,
-        m_range=_parse_range(args.m),
-        n_range=_parse_range(args.n),
-        k=args.k,
-        format=args.format,
-        errata_corrected=args.errata_corrected,
-    )
-    entry = _resolve(req.class_id)
-    if entry.needs_k and req.k is None:
-        raise CliError(EXIT_BAD_ARGS, f"class {req.class_id} needs --k")
+    m_range, n_range, k = _parse_range(args.m), _parse_range(args.n), args.k
+    entry = _resolve(args.class_id)
+    if entry.needs_k and k is None:
+        raise CliError(EXIT_BAD_ARGS, f"class {args.class_id} needs --k")
     grid = {}
-    for m in req.m_range:
-        for n in req.n_range:
-            grid[(m, n)] = _entry_formula_value(entry, m, n, req.k, req.errata_corrected)
-    k_note = "" if req.k is None else f" k={req.k}"
-    if req.format == "json":
+    for m in m_range:
+        for n in n_range:
+            grid[(m, n)] = _entry_formula_value(entry, m, n, k, args.errata_corrected)
+    k_note = "" if k is None else f" k={k}"
+    if args.format == "json":
         payload = {
-            "class_id": req.class_id,
+            "class_id": args.class_id,
             "reference": entry.reference,
-            "k": req.k,
+            "k": k,
             "cells": [
                 {"m": m, "n": n, "value": str(grid[(m, n)])}
-                for m in req.m_range
-                for n in req.n_range
+                for m in m_range
+                for n in n_range
             ],
         }
         out.write(json.dumps(payload, indent=1) + "\n")
         return EXIT_OK
-    sep = "\t" if req.format == "tsv" else ","
-    out.write(f"# class {req.class_id}{k_note}: {entry.reference}\n")
-    out.write(sep.join(["m\\n"] + [str(n) for n in req.n_range]) + "\n")
-    for m in req.m_range:
-        out.write(sep.join([str(m)] + [str(grid[(m, n)]) for n in req.n_range]) + "\n")
+    sep = "\t" if args.format == "tsv" else ","
+    out.write(f"# class {args.class_id}{k_note}: {entry.reference}\n")
+    out.write(sep.join(["m\\n"] + [str(n) for n in n_range]) + "\n")
+    for m in m_range:
+        out.write(sep.join([str(m)] + [str(grid[(m, n)]) for n in n_range]) + "\n")
     return EXIT_OK
 
 
@@ -144,7 +129,9 @@ def _verify_one(entry, m_max, n_max, k, budget, errata_corrected, out):
         entry.class_id, m_max, n_max, k=k, budget=budget, errata_corrected=errata_corrected
     )
     k_note = "" if k is None else f" k={k}"
-    if report.verified:
+    if report.cells_checked == 0:
+        out.write(f"BUDGET   {entry.class_id}{k_note}: all {len(report.skipped)} cells over budget\n")
+    elif report.verified:
         skipped = f", {len(report.skipped)} skipped" if report.skipped else ""
         out.write(f"ok       {entry.class_id}{k_note}: {report.cells_checked} cells{skipped}\n")
     else:
@@ -160,6 +147,8 @@ def _verify_one(entry, m_max, n_max, k, budget, errata_corrected, out):
 
 def cmd_verify(args, out):
     budget = _budget_from_args(args)
+    if min(args.m_max, args.n_max) < 1 or (args.m_max_unordered is not None and args.m_max_unordered < 1):
+        raise CliError(EXIT_BAD_ARGS, "--m-max, --n-max and --m-max-unordered must be >= 1")
     if args.all:
         ids = catalog.formula_class_ids()
     elif args.class_id:
@@ -167,6 +156,7 @@ def cmd_verify(args, out):
     else:
         raise CliError(EXIT_BAD_ARGS, "need --class or --all")
     all_errata = []
+    unchecked_grids = []
     classes_checked = 0
     for cid in ids:
         entry = _resolve(cid)
@@ -180,6 +170,8 @@ def cmd_verify(args, out):
         for k in ks:
             report = _verify_one(entry, m_max, args.n_max, k, budget, args.errata_corrected, out)
             all_errata.extend(report.errata)
+            if report.cells_checked == 0:
+                unchecked_grids.append(cid if k is None else f"{cid} k={k}")
         classes_checked += 1
     out.write(f"# classes checked: {classes_checked}\n")
     if args.emit_errata:
@@ -189,6 +181,8 @@ def cmd_verify(args, out):
     if all_errata:
         out.write(f"# discrepancies: {len(all_errata)}\n")
         return EXIT_MISMATCH
+    if unchecked_grids:
+        raise CliError(EXIT_BUDGET, f"no cell within budget for {', '.join(unchecked_grids)}")
     return EXIT_OK
 
 
@@ -214,6 +208,8 @@ def cmd_sequence(args, out):
         raise CliError(EXIT_BAD_ARGS, f"class {args.class_id} needs --k")
     if args.limit < 0:
         raise CliError(EXIT_BAD_ARGS, "limit must be >= 0")
+    if args.n_max < 1:
+        raise CliError(EXIT_BAD_ARGS, "--n-max must be >= 1")
     cells = _antidiagonal_cells() if args.order == "antidiagonal" else _row_cells(args.n_max)
     index = 1
     for m, n in cells:
@@ -228,8 +224,8 @@ def cmd_sequence(args, out):
 def cmd_egf_check(args, out):
     if not (1 <= args.family <= 4):
         raise CliError(EXIT_BAD_ARGS, "family must be 1..4")
-    if args.order_x > MAX_EGF_ORDER or args.order_y > MAX_EGF_ORDER:
-        raise CliError(EXIT_BAD_ARGS, f"orders capped at {MAX_EGF_ORDER}")
+    if not (1 <= args.order_x <= MAX_EGF_ORDER and 0 <= args.order_y <= MAX_EGF_ORDER):
+        raise CliError(EXIT_BAD_ARGS, f"need 1 <= --order-x <= {MAX_EGF_ORDER} and 0 <= --order-y <= {MAX_EGF_ORDER}")
     from .catalog import families as F
 
     conv = args.family
@@ -331,6 +327,9 @@ def main(argv=None, out=None):
     except BudgetExceededError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

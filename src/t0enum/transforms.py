@@ -27,7 +27,6 @@ from .exactmath import (
     partition_types,
     permutations_with_cycle_type,
     num_blocks,
-    sigma,
     stirling1,
     stirling2,
 )
@@ -103,13 +102,6 @@ def set_partitions(n):
     yield from extend(1, [[0]])
 
 
-def partition_type_of(blocks, n):
-    tau = [0] * n
-    for b in blocks:
-        tau[len(b) - 1] += 1
-    return tuple(tau)
-
-
 def partition_sum(alpha_pi, n):
     """Inclusion-exclusion over all set partitions of an n-set.
 
@@ -136,12 +128,6 @@ def partition_type_sum(alpha_tau, n):
         sign = (-1) ** (n - num_blocks(tau))
         total += sign * permutations_with_cycle_type(tau) * alpha_tau(tau)
     return total
-
-
-def block_count_sum(alpha_k, n):
-    """Regular form: the callback depends on the block count only, so the
-    type sum collapses to the signed-Stirling transform."""
-    return t0_transform(alpha_k, n)
 
 
 def cover_transform(source, n):
@@ -174,24 +160,6 @@ def connected_count(alpha, alpha_iso, nu_mode, m, n, memo):
                 raise MissingMemoError((i, j))
             total -= nu * binom(n - 1, j - 1) * alpha(m - i, n - j) * memo[(i, j)]
     return total
-
-
-@dataclass
-class CountTable:
-    """Dense (m, n[, k]) -> count grid with a provenance tag."""
-
-    class_id: str
-    entries: dict = field(default_factory=dict)
-    provenance: str = "formula"
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-    def __setitem__(self, key, value):
-        self.entries[key] = value
-
-    def __contains__(self, key):
-        return key in self.entries
 
 
 @dataclass

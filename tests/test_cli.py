@@ -6,6 +6,7 @@ import pytest
 
 from t0enum import catalog
 from t0enum.cli import main
+from t0enum.oracle import BudgetExceededError
 
 
 def run_cli(*argv):
@@ -154,3 +155,46 @@ def test_egf_check_command():
     assert code == 1 and "(2, 2)" in text
     assert run_cli("egf-check", "--family", "2", "--order-x", "9")[0] == 2
     assert run_cli("egf-check", "--family", "7")[0] == 2
+
+
+def test_verify_grid_limits_below_one_are_bad_args():
+    assert run_cli("verify", "--class", "omega_12", "--m-max", "0")[0] == 2
+    assert run_cli("verify", "--class", "omega_12", "--n-max", "0")[0] == 2
+    assert run_cli("verify", "--all", "--m-max-unordered", "0")[0] == 2
+
+
+def test_verify_grid_with_every_cell_over_budget_exits_4(monkeypatch, capsys):
+    # no accepted budget refuses cell (1, 1), so force every oracle call over it
+    def over_budget(self, m, n, k=None, budget=None):
+        raise BudgetExceededError("forced", m=m, n=n)
+
+    monkeypatch.setattr(catalog.CatalogEntry, "oracle_count", over_budget)
+    code, text = run_cli("verify", "--class", "omega_12", "--m-max", "2", "--n-max", "2")
+    assert code == 4
+    assert text.startswith("BUDGET   omega_12: all 4 cells over budget")
+    assert "omega_12" in capsys.readouterr().err
+
+
+def test_egf_check_orders_out_of_range_are_bad_args():
+    assert run_cli("egf-check", "--family", "2", "--order-x", "-1")[0] == 2
+    assert run_cli("egf-check", "--family", "2", "--order-x", "0")[0] == 2
+    assert run_cli("egf-check", "--family", "2", "--order-y", "-1")[0] == 2
+    assert run_cli("egf-check", "--family", "2", "--order-y", "0")[0] == 0
+
+
+def test_sequence_row_width_below_one_is_bad_args():
+    assert run_cli("sequence", "--class", "omega_12", "--order", "row", "--n-max", "0", "--limit", "3")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # RecursionError in the cached theta_star_1 column recursion
+        ("table", "--class", "theta_star_12", "--m", "2", "--n", "1100", "--k", "1"),
+        # 2^14300 is over the 4300-digit int -> str limit
+        ("table", "--class", "alpha_02", "--m", "1", "--n", "14300"),
+    ],
+)
+def test_uncaught_exception_is_internal_error_not_mismatch(argv, capsys):
+    assert run_cli(*argv)[0] == 5
+    assert "Traceback" in capsys.readouterr().err
