@@ -50,6 +50,17 @@ def _parse_range(text):
     return range(lo, hi + 1)
 
 
+def _size_parameter(text):
+    """--k: an integer k >= 0 (k = 0 is exact-0 uniformity, not a no-op)."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
+    return k
+
+
 def _budget_from_args(args):
     max_cells = getattr(args, "max_cells", None)
     max_universe = getattr(args, "max_universe", None)
@@ -112,6 +123,8 @@ def cmd_table(args, out):
 
 
 def cmd_oracle(args, out):
+    if min(args.m, args.n) < 1:
+        raise CliError(EXIT_BAD_ARGS, "--m and --n must be >= 1")
     entry = _resolve(args.class_id)
     budget = _budget_from_args(args)
     try:
@@ -266,7 +279,7 @@ def build_parser():
     p.add_argument("--class", dest="class_id", required=True)
     p.add_argument("--m", required=True, help="inclusive range, e.g. 1..4")
     p.add_argument("--n", required=True, help="inclusive range, e.g. 1..4")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_size_parameter)
     p.add_argument("--format", choices=("tsv", "csv", "json"), default="tsv")
     p.add_argument("--errata-corrected", action="store_true")
     p.set_defaults(func=cmd_table)
@@ -275,7 +288,7 @@ def build_parser():
     p.add_argument("--class", dest="class_id", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_size_parameter)
     p.add_argument("--max-cells", type=int, help="override the m*n cap; the row-multiset walk is capped at 2^max-cells")
     p.add_argument("--max-universe", type=int, help="override the 2^n multiset cap")
     p.set_defaults(func=cmd_oracle)
@@ -286,7 +299,7 @@ def build_parser():
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--m-max-unordered", type=int, help="row cap for multiset conventions (default m-max + 1)")
-    p.add_argument("--k", type=int, help="restrict size-parameterized classes to one k (default 1..3)")
+    p.add_argument("--k", type=_size_parameter, help="restrict size-parameterized classes to one k (default 1..3)")
     p.add_argument("--emit-errata", metavar="PATH", help="write JSONL errata records")
     p.add_argument("--errata-corrected", action="store_true", help="evaluate corrected forms of as-printed classes")
     p.add_argument("--max-cells", type=int)
@@ -298,7 +311,7 @@ def build_parser():
     p.add_argument("--order", choices=("antidiagonal", "row"), default="antidiagonal")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--n-max", type=int, default=8, help="row width for --order row")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_size_parameter)
     p.add_argument("--errata-corrected", action="store_true")
     p.set_defaults(func=cmd_sequence)
 

@@ -255,8 +255,9 @@ def satisfies(matrix, spec):
 class MatrixFeatures:
     """Per-matrix facts sufficient to evaluate any ClassSpec.
 
-    Extracted once per enumerated matrix so the oracle can aggregate counts
-    for many specs without re-scanning bit grids.
+    The oracle counts matrices per distinct feature record, so it can
+    evaluate many specs without re-scanning bit grids.  `_feature_record`
+    returns the fields as a plain tuple in this order.
     """
 
     rows_distinct: bool
@@ -273,29 +274,36 @@ class MatrixFeatures:
 
 
 def matrix_features(matrix):
-    """Features of one matrix; the columns are built once and every column
-    predicate is read off them (same truth table as the `is_*`/`has_*`
-    predicates above).  Every field is invariant under reordering the rows."""
-    rows = matrix.rows
-    m, n = len(rows), matrix.n
-    cols = matrix.columns()
+    """Features of one matrix, same truth table as the `is_*`/`has_*`
+    predicates above.  Every field is invariant under reordering the rows."""
+    return MatrixFeatures(*_feature_record(matrix.rows, matrix.n, matrix.columns()))
+
+
+def _feature_record(rows, n, cols):
+    """The `MatrixFeatures` fields of the matrix with these rows on n
+    vertices, as a plain tuple in field order; `cols` are its columns (see
+    `IncidenceMatrix.columns`).  Every column predicate is read off one set
+    of the columns.  The oracle walk calls this directly, with columns it
+    extends one row at a time, and builds a `MatrixFeatures` only once per
+    distinct record."""
+    m = len(rows)
     col_set = set(cols)
     # For m = 0 every column is 0 == full, so both vertex conventions hold.
     full = (1 << m) - 1
     cover = 0 not in col_set
     common_vertex = full in col_set
-    return MatrixFeatures(
-        rows_distinct=len(set(rows)) == m,
-        empty_edge=0 in rows,
-        full_edge=_full_row(n) in rows,
-        cover=cover,
-        common_vertex=common_vertex,
-        singular=common_vertex or not cover,
-        t0=len(col_set) == n,
-        connected=_connected(rows, n, cover),
-        minimal=cover and all((1 << i) in col_set for i in range(m)),
-        row_sizes=tuple(sorted(map(int.bit_count, rows))),
-        col_sizes=tuple(sorted(map(int.bit_count, cols))),
+    return (
+        len(set(rows)) == m,  # rows_distinct
+        0 in rows,  # empty_edge
+        _full_row(n) in rows,  # full_edge
+        cover,
+        common_vertex,
+        common_vertex or not cover,  # singular
+        len(col_set) == n,  # t0
+        _connected(rows, n, cover),  # connected
+        cover and all((1 << i) in col_set for i in range(m)),  # minimal
+        tuple(sorted(map(int.bit_count, rows))),  # row_sizes
+        tuple(sorted(map(int.bit_count, cols))),  # col_sizes
     )
 
 

@@ -6,8 +6,7 @@ matrices of the spec's row convention that satisfy the spec.
 Every `MatrixFeatures` field is invariant under reordering the rows, and
 three of the four row conventions are quotients of the ordered matrices by
 row permutations.  So per (m, n) the oracle walks each multiset of m row
-codes once, in a fixed order (nondecreasing canonical codes), extracts its
-features and adds them to three Counters at once:
+codes once and counts its feature record in three Counters at once:
 
 * 'multisets' (convention 4): weight 1;
 * 'sets' (convention 3): multisets with distinct rows, weight 1;
@@ -15,18 +14,27 @@ features and adds them to three Counters at once:
   multiset, m! / prod(mult!), the size of its orbit under row permutations
   (Harary & Palmer, Graphical Enumeration, 1973, ch. 2).
 
+The walk is depth first over nondecreasing row codes, in the order of
+`combinations_with_replacement(range(2**n), m)`, so the budget's multiset
+count is exactly the number of leaves.  Each step carries the columns of
+the current prefix (row i owns bit i of every column, so moving row i to
+the next code toggles that bit only where the two codes differ) and its
+running prod(mult!) denominator; no leaf rebuilds either.  Leaves are
+counted as plain feature tuples (`hypercore._feature_record`), and each
+distinct tuple becomes one `MatrixFeatures` when the walk ends.
+
 Evaluating a spec then only walks the (much smaller) set of distinct
 feature records.  `features_satisfy` is property-tested against
-`satisfies`, and the counts are pinned to a plain enumeration of all
-ordered matrices in the tests, so the fast path cannot drift.
+`satisfies`, and the counts and the Counters themselves are pinned to a
+plain enumeration of all ordered matrices in the tests, so the fast path
+cannot drift.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 from math import comb, factorial
 
-from .hypercore import IncidenceMatrix, features_satisfy, matrix_features
+from .hypercore import MatrixFeatures, _feature_record, features_satisfy
 
 
 class BudgetExceededError(RuntimeError):
@@ -85,25 +93,65 @@ def _feature_counter(kind, m, n):
     hit = _FEATURE_CACHE.get(key)
     if hit is not None:
         return hit
-    multisets, ordered = Counter(), Counter()
-    m_factorial = factorial(m)
-    for rows in combinations_with_replacement(range(1 << n), m):
-        feats = matrix_features(IncidenceMatrix(n=n, rows=rows))
-        multisets[feats] += 1
-        ordered[feats] += m_factorial // _multiplicity_factorials(rows)
+    records, weighted = _walk_multisets(m, n)
+    features = {record: MatrixFeatures(*record) for record in records}
+    multisets = Counter({features[r]: c for r, c in records.items()})
     _FEATURE_CACHE[("multisets", m, n)] = multisets
     _FEATURE_CACHE[("sets", m, n)] = Counter({f: c for f, c in multisets.items() if f.rows_distinct})
-    _FEATURE_CACHE[("ordered", m, n)] = ordered
+    _FEATURE_CACHE[("ordered", m, n)] = Counter({features[r]: c for r, c in weighted.items()})
     return _FEATURE_CACHE[key]
 
 
-def _multiplicity_factorials(rows):
-    """prod(mult!) over the distinct codes of a nondecreasing row tuple."""
-    denominator, run = 1, 1
-    for prev, cur in zip(rows, rows[1:]):
-        run = run + 1 if cur == prev else 1
-        denominator *= run
-    return denominator
+def _walk_multisets(m, n):
+    """Counters of feature records over the m-multisets of n-bit row codes,
+    one with weight 1 and one with weight m!/prod(mult!).
+
+    Depth first over nondecreasing codes, in the order of
+    combinations_with_replacement(range(2**n), m).  Beyond the Counters it
+    keeps O(m + n) ints: the rows, their columns, and per row the length of
+    its run of equal codes and the prod(mult!) of the prefix ending there.
+    """
+    multisets, ordered = Counter(), Counter()
+    m_factorial = factorial(m)
+    last = (1 << n) - 1
+    # The first multiset is m copies of code 0, which sets no column bit.
+    rows, cols = [0] * m, [0] * n
+    runs = list(range(1, m + 1))
+    denominators = [factorial(run) for run in runs]
+    while True:
+        record = _feature_record(rows, n, cols)
+        multisets[record] += 1
+        ordered[record] += m_factorial // denominators[-1]
+        # Back up past the rows at the last code (all n bits set).
+        i = m - 1
+        while rows[i] == last:
+            edge = 1 << i
+            for j in range(n):
+                cols[j] ^= edge
+            i -= 1
+            if i < 0:
+                return multisets, ordered
+        # Row i moves to the next code, which starts a new run.
+        code = rows[i]
+        _toggle(cols, code ^ (code + 1), 1 << i)
+        code += 1
+        rows[i] = code
+        runs[i] = 1
+        denominators[i] = denominators[i - 1] if i else 1
+        # The rows below restart at the same code, extending its run.
+        for d in range(i + 1, m):
+            rows[d] = code
+            _toggle(cols, code, 1 << d)
+            runs[d] = runs[d - 1] + 1
+            denominators[d] = denominators[d - 1] * runs[d]
+
+
+def _toggle(cols, bits, edge):
+    """Flip the edge bit in each column named by a set bit of `bits`."""
+    while bits:
+        low = bits & -bits
+        cols[low.bit_length() - 1] ^= edge
+        bits ^= low
 
 
 def count(spec, m, n, budget=DEFAULT_BUDGET):

@@ -1,15 +1,19 @@
 """Brute-force oracle reference, independent of the package's fast path.
 
-Both counters enumerate every ordered (m, n) matrix with `itertools.product`
-and test it with the literal `satisfies` predicates, applying the row
-conventions as written: 1 pairwise-distinct rows, 2 every row tuple,
-3 strictly increasing row codes, 4 nondecreasing row codes.  They share no
-code with `t0enum.oracle`, whose orbit-weighted multiset walk they pin.
+Every helper enumerates every ordered (m, n) matrix with `itertools.product`
+and applies the row conventions as written: 1 pairwise-distinct rows, 2 every
+row tuple, 3 strictly increasing row codes, 4 nondecreasing row codes.  The
+counters test each matrix with the literal `satisfies` predicates and share
+no code with `t0enum.oracle`, whose orbit-weighted multiset walk they pin.
+`feature_counters` reads each matrix with `matrix_features`, so it shares
+the feature truth table with the walk, but not the walk's columns, weights
+or visiting order.
 """
 
+from collections import Counter
 from itertools import product
 
-from t0enum.hypercore import IncidenceMatrix, satisfies
+from t0enum.hypercore import IncidenceMatrix, matrix_features, satisfies
 
 
 def in_convention(rows, convention):
@@ -36,6 +40,21 @@ def brute_counts(specs, m, n):
                 for c in conventions:
                     spec_totals[c - 1] += 1
     return totals
+
+
+def feature_counters(m, n):
+    """The oracle's three feature Counters at (m, n), from every ordered
+    matrix: 'ordered' counts each row tuple, 'multisets' the nondecreasing
+    ones and 'sets' the strictly increasing ones."""
+    counters = {"ordered": Counter(), "multisets": Counter(), "sets": Counter()}
+    for rows in product(range(1 << n), repeat=m):
+        feats = matrix_features(IncidenceMatrix(n=n, rows=rows))
+        counters["ordered"][feats] += 1
+        if all(a <= b for a, b in zip(rows, rows[1:])):
+            counters["multisets"][feats] += 1
+        if all(a < b for a, b in zip(rows, rows[1:])):
+            counters["sets"][feats] += 1
+    return counters
 
 
 def count_dual(spec, m, n):

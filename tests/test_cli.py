@@ -198,3 +198,38 @@ def test_sequence_row_width_below_one_is_bad_args():
 def test_uncaught_exception_is_internal_error_not_mismatch(argv, capsys):
     assert run_cli(*argv)[0] == 5
     assert "Traceback" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--class", "omega_12", "--m", "0", "--n", "2"),
+        ("oracle", "--class", "omega_12", "--m", "-1", "--n", "2"),
+        ("oracle", "--class", "omega_12", "--m", "2", "--n", "-3"),
+        # a custom oracle, which raised ValueError on a negative m
+        ("oracle", "--class", "bar_theta_circ_03", "--m", "-1", "--n", "2"),
+    ],
+)
+def test_oracle_cell_below_one_is_bad_args(argv, capsys):
+    assert run_cli(*argv)[0] == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--class", "theta_01", "--m", "1..2", "--n", "1..2", "--k", "-1"),
+        ("sequence", "--class", "theta_01", "--limit", "3", "--k", "-1"),
+        ("oracle", "--class", "theta_01", "--m", "2", "--n", "2", "--k", "-1"),
+        # both sides are 0 on every cell: a vacuous certification
+        ("verify", "--class", "theta_01", "--k", "-1", "--m-max", "2", "--n-max", "2"),
+    ],
+)
+def test_negative_k_is_bad_args(argv):
+    assert run_cli(*argv) == (2, "")
+
+
+def test_k_zero_is_exact_zero_uniformity():
+    # the empty edge is the only 0-edge: one (1, n) matrix for every n
+    assert run_cli("oracle", "--class", "theta_01", "--m", "1", "--n", "2", "--k", "0") == (0, "1\n")
+    assert run_cli("verify", "--class", "theta_01", "--k", "0", "--m-max", "2", "--n-max", "2")[0] == 0

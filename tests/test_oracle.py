@@ -3,8 +3,9 @@ import random
 from dataclasses import replace
 
 import pytest
-from brute_reference import brute_counts, count_dual
+from brute_reference import brute_counts, count_dual, feature_counters
 
+from t0enum import oracle
 from t0enum.exactmath import falling, stirling2
 from t0enum.hypercore import ClassSpec
 from t0enum.oracle import BudgetExceededError, OracleBudget, count, verify_grid
@@ -45,6 +46,18 @@ def test_count_matches_direct_filter():
                     for c in (1, 2, 3, 4)
                 ]
                 assert got == by_convention, (spec, m, n)
+
+
+def test_feature_counters_match_literal_enumeration(monkeypatch):
+    # the walk's columns, multiplicity runs and weights, checked record by
+    # record on every cell with m*n <= 12
+    monkeypatch.setattr(oracle, "_FEATURE_CACHE", {})
+    for m in range(1, 13):
+        for n in range(1, 12 // m + 1):
+            oracle._feature_counter("ordered", m, n)
+            expected = feature_counters(m, n)
+            for kind in ("ordered", "multisets", "sets"):
+                assert oracle._FEATURE_CACHE[(kind, m, n)] == expected[kind], (kind, m, n)
 
 
 def test_count_conventions_3_and_4():
