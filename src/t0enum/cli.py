@@ -3,8 +3,10 @@
 Exit codes are a contract for CI gating:
   0 success / verified, 1 formula-vs-oracle mismatch, 2 bad arguments,
   3 unknown class (or one that has no formula where one is needed),
-  4 enumeration budget exceeded (also: a verify grid whose every cell was
-  over budget), 5 internal error (an uncaught exception; traceback on stderr).
+  4 budget exceeded (an oracle cell over the enumeration caps, a
+  partition-type sum over exactmath.MAX_PARTITION_TYPE_N, or a verify grid
+  whose every cell was over budget), 5 internal error (an uncaught
+  exception; traceback on stderr).
 """
 
 import argparse
@@ -332,6 +334,10 @@ def main(argv=None, out=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_ARGS if exc.code not in (0, None) else EXIT_OK
+    # Counts are written in full, however many digits they have; the
+    # interpreter's int -> str limit is lifted for this call only.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args, out)
     except CliError as exc:
@@ -343,6 +349,8 @@ def main(argv=None, out=None):
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

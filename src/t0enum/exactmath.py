@@ -3,10 +3,15 @@
 Everything here is pure big-integer arithmetic (Python ints); no floating
 point is used anywhere.  Stirling numbers are memoized by whole rows because
 every consumer (the Stirling transforms, the partition-type sums) reads whole
-rows at a time.
+rows at a time.  The table of partition types of n and the sub-type
+polynomial of each (type, kmax) are memoized too, as tuples, since no
+partition-type sum depends on more than n (and kmax).  Partition types are
+capped at n <= MAX_PARTITION_TYPE_N: p(n) grows like exp(pi sqrt(2n/3)), and
+a larger n is refused with BudgetExceededError before anything is built.
 """
 
 import math
+from functools import cache
 
 # All enumeration results and signed transform coefficients are plain Python
 # ints; the alias documents intent in signatures.
@@ -15,6 +20,20 @@ Count = int
 # A partition type is a tuple (a_1, ..., a_n) with sum(i * a_i) == n: a_i is
 # the number of blocks of size i in a set partition of an n-set.
 PartitionType = tuple
+
+# p(40) = 37,338 types, about 13 MB as tuples; p(n) more than doubles with
+# every five steps of n beyond it.
+MAX_PARTITION_TYPE_N = 40
+
+
+class BudgetExceededError(RuntimeError):
+    """A requested computation is outside its budget: an oracle cell over the
+    enumeration caps, or a partition-type sum over MAX_PARTITION_TYPE_N."""
+
+    def __init__(self, message, m=None, n=None):
+        super().__init__(message)
+        self.m = m
+        self.n = n
 
 
 def binom(i, j):
@@ -79,28 +98,41 @@ def bell(n):
     return sum(stirling2(n, k) for k in range(n + 1))
 
 
+@cache
 def partition_types(n):
-    """Yield every partition type of n exactly once.
+    """Every partition type of n exactly once, as a memoized tuple.
 
     Types are fixed-length n-tuples (a_1, ..., a_n) with sum(i * a_i) == n,
     trailing zeros kept so that componentwise comparison is positional.
-    Order: lexicographic on the tuple.
+    Order: lexicographic on the tuple.  The parts are filled from the
+    largest size down and parts of size 1 take the remainder, so every
+    branch ends in a type; the p(n) types are then sorted once.  n above
+    MAX_PARTITION_TYPE_N raises BudgetExceededError.
     """
     if n < 1:
         raise ValueError("partition types need n >= 1")
+    if n > MAX_PARTITION_TYPE_N:
+        raise BudgetExceededError(
+            f"partition types of n = {n} exceed the cap n <= {MAX_PARTITION_TYPE_N}", n=n
+        )
     found = []
+    acc = [0] * n
 
-    def build(i, remaining, acc):
-        if i > n:
-            if remaining == 0:
-                found.append(tuple(acc))
+    def fill(i, remaining):
+        # sizes above i are fixed; no part of size > remaining fits
+        i = min(i, remaining)
+        if i <= 1:
+            acc[0] = remaining
+            found.append(tuple(acc))
             return
         for a in range(remaining // i + 1):
-            build(i + 1, remaining - i * a, acc + [a])
+            acc[i - 1] = a
+            fill(i - 1, remaining - i * a)
+        acc[i - 1] = 0
 
-    build(1, n, [])
+    fill(n, n)
     found.sort()
-    yield from found
+    return tuple(found)
 
 
 def sigma(tau):
@@ -131,9 +163,13 @@ def permutations_with_cycle_type(tau):
     return result
 
 
+@cache
 def _sub_type_polynomial(tau, kmax):
     # coefficient j = number of sub-tuples beta <= tau with sigma(beta) == j,
-    # weighted by prod C(a_i, b_i); plain polynomial convolution
+    # weighted by prod C(a_i, b_i); plain polynomial convolution.  A tuple,
+    # since the memoized entry is shared by every caller.  Coefficients past
+    # sigma(tau) are 0 and not stored, so a huge kmax costs no memory.
+    kmax = min(kmax, sigma(tau))
     coeffs = [0] * (kmax + 1)
     coeffs[0] = 1
     for i, a in enumerate(tau, start=1):
@@ -149,7 +185,7 @@ def _sub_type_polynomial(tau, kmax):
                     break
                 nxt[size] += coeffs[j] * binom(a, b)
         coeffs = nxt
-    return coeffs
+    return tuple(coeffs)
 
 
 def block_union_ksets(tau, k):
@@ -160,7 +196,8 @@ def block_union_ksets(tau, k):
     """
     if k < 0:
         return 0
-    return _sub_type_polynomial(tau, k)[k]
+    coeffs = _sub_type_polynomial(tau, k)
+    return coeffs[k] if k < len(coeffs) else 0
 
 
 def block_union_upto(tau, k):

@@ -34,16 +34,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, factorial
 
+from .exactmath import BudgetExceededError
 from .hypercore import MatrixFeatures, _feature_record, features_satisfy
-
-
-class BudgetExceededError(RuntimeError):
-    """Requested cell is outside the enumeration budget."""
-
-    def __init__(self, message, m=None, n=None):
-        super().__init__(message)
-        self.m = m
-        self.n = n
 
 
 @dataclass(frozen=True)

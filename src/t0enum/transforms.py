@@ -20,6 +20,7 @@ Vocabulary (used across the package):
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import factorial
 
 from .exactmath import (
@@ -120,14 +121,25 @@ def partition_sum(alpha_pi, n):
     return total
 
 
+@cache
+def _signed_cycle_types(n):
+    # (tau, (-1)^(n-|tau|) c(tau)) for every type of n, in type order
+    return tuple(
+        (tau, (-1) ** (n - num_blocks(tau)) * permutations_with_cycle_type(tau))
+        for tau in partition_types(n)
+    )
+
+
 def partition_type_sum(alpha_tau, n):
     """Type-level form of partition_sum for uniform properties:
-    sum over types tau of (-1)^(n-|tau|) c(tau) alpha_tau(tau)."""
-    total = 0
-    for tau in partition_types(n):
-        sign = (-1) ** (n - num_blocks(tau))
-        total += sign * permutations_with_cycle_type(tau) * alpha_tau(tau)
-    return total
+    sum over types tau of (-1)^(n-|tau|) c(tau) alpha_tau(tau), where c(tau)
+    is the number of permutations of cycle type tau (Cauchy's formula).
+
+    The signed weights are built once per n and memoized; only alpha_tau is
+    called per sum.  n above exactmath.MAX_PARTITION_TYPE_N raises
+    BudgetExceededError before any type is built.
+    """
+    return sum(c * alpha_tau(tau) for tau, c in _signed_cycle_types(n))
 
 
 def cover_transform(source, n):

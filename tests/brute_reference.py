@@ -7,7 +7,8 @@ counters test each matrix with the literal `satisfies` predicates and share
 no code with `t0enum.oracle`, whose orbit-weighted multiset walk they pin.
 `feature_counters` reads each matrix with `matrix_features`, so it shares
 the feature truth table with the walk, but not the walk's columns, weights
-or visiting order.
+or visiting order.  `partition_types_literal` is the plain recursive
+builder that `exactmath.partition_types` is pinned to.
 """
 
 from collections import Counter
@@ -72,3 +73,21 @@ def count_dual(spec, m, n):
         if satisfies(IncidenceMatrix(n=m, rows=cols), spec):
             total += 1
     return total
+
+
+def partition_types_literal(n):
+    """Partition types of n, (a_1, ..., a_n) with sum(i * a_i) == n, sorted:
+    every a_i from 0 up, the prefixes that do not sum to n dropped."""
+    found = []
+
+    def build(i, remaining, acc):
+        if i > n:
+            if remaining == 0:
+                found.append(tuple(acc))
+            return
+        for a in range(remaining // i + 1):
+            build(i + 1, remaining - i * a, acc + [a])
+
+    build(1, n, [])
+    found.sort()
+    return found

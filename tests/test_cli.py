@@ -1,11 +1,13 @@
 import io
 import json
+import sys
 import time
 
 import pytest
 
 from t0enum import catalog
 from t0enum.cli import main
+from t0enum.exactmath import falling
 from t0enum.oracle import BudgetExceededError
 
 
@@ -28,8 +30,6 @@ def test_table_basic_and_determinism():
 def test_table_alpha_star_grid():
     code, text = run_cli("table", "--class", "alpha_star_02", "--m", "1..3", "--n", "1..3")
     assert code == 0
-    from t0enum.exactmath import falling
-
     rows = [line.split("\t") for line in text.splitlines()[2:]]
     for m in range(1, 4):
         for n in range(1, 4):
@@ -189,15 +189,51 @@ def test_sequence_row_width_below_one_is_bad_args():
 @pytest.mark.parametrize(
     "argv",
     [
-        # RecursionError in the cached theta_star_1 column recursion
-        ("table", "--class", "theta_star_12", "--m", "2", "--n", "1100", "--k", "1"),
-        # 2^14300 is over the 4300-digit int -> str limit
-        ("table", "--class", "alpha_02", "--m", "1", "--n", "14300"),
+        ("table", "--class", "theta_star_12", "--m", "2", "--n", "3", "--k", "1"),
+        ("sequence", "--class", "alpha_02", "--limit", "3"),
     ],
 )
-def test_uncaught_exception_is_internal_error_not_mismatch(argv, capsys):
+def test_uncaught_exception_is_internal_error_not_mismatch(argv, monkeypatch, capsys):
+    # every input the CLI accepts is now answered, so force a failure
+    def broken(self, m, n, k=None, errata_corrected=False):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(catalog.CatalogEntry, "evaluate", broken)
     assert run_cli(*argv)[0] == 5
     assert "Traceback" in capsys.readouterr().err
+
+
+def test_partition_type_sum_over_cap_exits_4_at_once(capsys):
+    # the recursive type builder of earlier versions ran out of stack here
+    start = time.perf_counter()
+    code, _ = run_cli("table", "--class", "theta_star_12", "--m", "2", "--n", "1100", "--k", "1")
+    assert code == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: budget exceeded:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (("table", "--class", "alpha_star_02", "--m", "200", "--n", "200"), falling(2**200, 200)),
+        # 2^14300 has 4,305 digits, over the interpreter's default limit
+        (("table", "--class", "alpha_02", "--m", "1", "--n", "14300"), 2**14300),
+    ],
+    ids=["alpha_star_02", "alpha_02"],
+)
+def test_large_values_are_printed_in_full(argv, value):
+    limit = sys.get_int_max_str_digits()
+    code, text = run_cli(*argv)
+    assert code == 0
+    # the limit is lifted for the call only
+    assert sys.get_int_max_str_digits() == limit
+    digits = text.splitlines()[-1].split("\t")[1]
+    # checked without converting the value to a string, which the limit forbids
+    assert len(digits) > 4300
+    assert 10 ** (len(digits) - 1) <= value < 10 ** len(digits)
+    assert int(digits[-100:]) == value % 10**100
 
 
 @pytest.mark.parametrize(

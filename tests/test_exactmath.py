@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from t0enum.exactmath import (
+    MAX_PARTITION_TYPE_N,
+    BudgetExceededError,
+    _sub_type_polynomial,
     bell,
     binom,
     block_union_ksets,
@@ -20,6 +23,7 @@ from t0enum.exactmath import (
     stirling2,
 )
 
+from brute_reference import partition_types_literal
 from conftest import brute_set_partitions, type_of_partition
 
 
@@ -82,6 +86,46 @@ def test_partition_types_counts_and_order():
             assert len(tau) == n
             assert sigma(tau) == n
             assert 1 <= num_blocks(tau) <= n
+
+
+def _euler_partition_counts(n_max):
+    # p(n) = sum_{k >= 1} (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)]
+    p = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= n:
+                    p[n] += sign * p[n - g]
+            k += 1
+    return p
+
+
+def test_partition_types_match_literal_builder():
+    for n in range(1, 16):
+        assert list(partition_types(n)) == partition_types_literal(n)
+
+
+def test_partition_types_up_to_cap():
+    p = _euler_partition_counts(MAX_PARTITION_TYPE_N)
+    assert p[40] == 37338
+    for n in range(1, MAX_PARTITION_TYPE_N + 1):
+        types = partition_types(n)
+        assert isinstance(types, tuple)
+        assert len(types) == p[n]
+        assert all(a < b for a, b in zip(types, types[1:]))
+        assert all(len(tau) == n and sigma(tau) == n for tau in types)
+        # hold one table at a time: all 40 together take about 65 MB
+        partition_types.cache_clear()
+
+
+def test_partition_types_over_cap_refused_before_building():
+    with pytest.raises(BudgetExceededError, match="exceed the cap"):
+        partition_types(MAX_PARTITION_TYPE_N + 1)
+    with pytest.raises(BudgetExceededError):
+        partition_types(10**6)
+    assert partition_types(9) is partition_types(9)
 
 
 def test_partitions_with_type_against_brute_force():
@@ -160,6 +204,36 @@ def test_block_unions_against_brute_force_small():
         for k in range(1, 6):
             assert block_union_ksets(tau, k) == sum(1 for u in unions if len(u) == k)
             assert block_union_upto(tau, k) == sum(1 for u in unions if len(u) <= k)
+
+
+def _blocks_of_type(tau):
+    blocks, start = [], 0
+    for size, a in enumerate(tau, start=1):
+        for _ in range(a):
+            blocks.append(list(range(start, start + size)))
+            start += size
+    return blocks
+
+
+def test_block_unions_after_larger_kmax_filled_the_cache():
+    for n in range(1, 9):
+        for tau in partition_types(n):
+            block_union_upto(tau, n + 3)
+            block_union_ksets(tau, n + 2)
+            sizes = [len(u) for u in _brute_block_unions(_blocks_of_type(tau), n)]
+            for k in range(n + 1):
+                assert block_union_ksets(tau, k) == sizes.count(k) + (k == 0)
+                assert block_union_upto(tau, k) == sum(1 for size in sizes if size <= k)
+
+
+def test_sub_type_polynomial_is_an_immutable_tuple_of_bounded_length():
+    coeffs = _sub_type_polynomial((2, 1, 0, 0), 4)
+    assert coeffs == (1, 2, 2, 2, 1)
+    assert isinstance(coeffs, tuple)
+    # no sub-type is larger than tau: a huge size bound stores nothing more
+    assert _sub_type_polynomial((2, 1, 0, 0), 10**12) == coeffs
+    assert block_union_ksets((2, 1, 0, 0), 10**12) == 0
+    assert block_union_upto((2, 1, 0, 0), 10**12) == 2**3 - 1
 
 
 def test_selections_examples():

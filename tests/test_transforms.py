@@ -165,6 +165,35 @@ def test_partition_sum_agrees_with_type_sum():
         assert lhs == rhs
 
 
+def test_partition_type_sum_callbacks_share_no_state():
+    from t0enum.exactmath import block_union_ksets, num_blocks
+
+    from conftest import type_of_partition
+
+    def uniform(tau):
+        return selections(2, block_union_ksets(tau, 2), 3)
+
+    def mixed(tau):
+        return 5 ** num_blocks(tau) - tau[0]
+
+    for n in range(1, 8):
+        first = partition_type_sum(uniform, n)
+        second = partition_type_sum(mixed, n)
+        assert first == partition_sum(lambda blocks: uniform(type_of_partition(blocks, n)), n)
+        assert second == partition_sum(lambda blocks: mixed(type_of_partition(blocks, n)), n)
+        assert partition_type_sum(uniform, n) == first
+
+
+def test_partition_type_sum_over_cap_calls_no_callback():
+    from t0enum.exactmath import MAX_PARTITION_TYPE_N, BudgetExceededError
+
+    def never(tau):
+        raise AssertionError("callback reached")
+
+    with pytest.raises(BudgetExceededError):
+        partition_type_sum(never, MAX_PARTITION_TYPE_N + 1)
+
+
 def test_cover_transform():
     for m in range(1, 5):
         for n in range(1, 7):
