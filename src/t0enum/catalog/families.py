@@ -307,9 +307,15 @@ def bar_theta_star_1(s, m, n, k):
 def _completion_count(m, t, size_set):
     """Ordered m-tuples of subsets of a t-set with sizes in size_set whose
     incidence matrix has pairwise-distinct columns, every column with at
-    least two ones.  Exhaustive but only ever called with t <= n - m."""
+    least two ones.  Exhaustive but only ever called with t <= n - m.
+
+    None exists, and no pattern is listed, when t exceeds the 2^m - m - 1
+    columns with two or more ones, or when those 2t or more ones exceed the
+    m * max(size_set) the rows can hold."""
     if t == 0:
         return 1 if (m == 0 or 0 in size_set) else 0
+    if t > 2**m - m - 1 or 2 * t > m * max(size_set):
+        return 0
     patterns = [p for p in range(1 << t) if p.bit_count() in size_set]
     total = 0
     for rows in product(patterns, repeat=m):

@@ -93,11 +93,6 @@ def stirling2(n, i):
     return _S2_ROWS[n][i] if i <= n else 0
 
 
-def bell(n):
-    """Bell number B(n) = number of set partitions of an n-set."""
-    return sum(stirling2(n, k) for k in range(n + 1))
-
-
 @cache
 def partition_types(n):
     """Every partition type of n exactly once, as a memoized tuple.
@@ -143,15 +138,6 @@ def sigma(tau):
 def num_blocks(tau):
     """|tau| = total number of blocks."""
     return sum(tau)
-
-
-def partitions_with_type(tau):
-    """Number of set partitions of an n-set having block-size multiplicities tau."""
-    n = sigma(tau)
-    result = math.factorial(n)
-    for i, a in enumerate(tau, start=1):
-        result //= math.factorial(a) * math.factorial(i) ** a
-    return result
 
 
 def permutations_with_cycle_type(tau):

@@ -1,12 +1,16 @@
-"""Incidence matrices of labelled hypergraphs and the predicate suite.
+"""Incidence matrices of labelled hypergraphs, class specs and the one
+truth table that decides class membership.
 
 A hypergraph with m edges on n ordered vertices is stored as its m x n binary
 incidence matrix: row i is edge i, column j is vertex j.  Rows are Python int
 bitmasks with vertex j on bit j-1 (little-endian); this makes the multiset
 row order and all table outputs bit-exact reproducible.
+
+`_feature_record` computes a matrix's `MatrixFeatures`, `features_satisfy`
+evaluates a spec over them, and both the oracle and `satisfies` use only these.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class MissingParameterError(ValueError):
@@ -32,13 +36,6 @@ class IncidenceMatrix:
     def m(self):
         return len(self.rows)
 
-    @classmethod
-    def from_bits(cls, bit_rows):
-        """Build from explicit 0/1 row lists, e.g. [[1, 0], [1, 1]]."""
-        rows = tuple(canonical_row_code(bits) for bits in bit_rows)
-        n = len(bit_rows[0]) if bit_rows else 1
-        return cls(n=n, rows=rows)
-
     def columns(self):
         """All n columns, vertex j as an int with edge i on bit i-1, built in
         one pass over the set bits of the rows."""
@@ -50,22 +47,6 @@ class IncidenceMatrix:
                 cols[low.bit_length() - 1] |= edge
                 r ^= low
         return cols
-
-
-def canonical_row_code(bits):
-    """Encode a 0/1 membership sequence as an int, vertex j on bit j-1."""
-    code = 0
-    for j, b in enumerate(bits):
-        if b:
-            code |= 1 << j
-    return code
-
-
-def transpose(matrix):
-    """Incidence matrix of the dual hypergraph (an involution)."""
-    if matrix.m == 0:
-        raise ValueError("transpose of an edgeless matrix has no vertices")
-    return IncidenceMatrix(n=matrix.m, rows=tuple(matrix.columns()))
 
 
 # Row conventions (the second index of every table family):
@@ -118,55 +99,74 @@ class ClassSpec:
             object.__setattr__(self, "forbid_empty_edges", True)
 
 
-def _full_row(n):
-    return (1 << n) - 1
+@dataclass(frozen=True)
+class MatrixFeatures:
+    """Per-matrix facts sufficient to evaluate any ClassSpec.
 
+    The oracle counts matrices per distinct feature record, so it can
+    evaluate many specs without re-scanning bit grids.  `_feature_record`
+    returns the fields as a plain tuple in this order:
 
-def has_empty_edge(matrix):
-    return 0 in matrix.rows
-
-
-def has_full_edge(matrix):
-    return _full_row(matrix.n) in matrix.rows
-
-
-def is_cover(matrix):
-    """No isolated vertex, i.e. no all-zero column.  An edgeless matrix on
-    n >= 1 vertices is not a cover."""
-    return 0 not in matrix.columns()
-
-
-def has_common_vertex(matrix):
-    """The intersecting property: some vertex lies in every edge.
-
-    Convention for m = 0: holds vacuously (the empty intersection is the
-    whole vertex set)."""
-    if matrix.m == 0:
-        return True
-    full = (1 << matrix.m) - 1
-    return full in matrix.columns()
-
-
-def has_singular_vertex(matrix):
-    """Some vertex lies in every edge or in none."""
-    full = (1 << matrix.m) - 1
-    return any(c == 0 or c == full for c in matrix.columns())
-
-
-def is_t0(matrix):
-    """Every two vertices are separated by some edge: all columns distinct."""
-    cols = matrix.columns()
-    return len(set(cols)) == matrix.n
-
-
-def is_connected(matrix):
-    """Every pair of vertices is joined by a chain of pairwise-intersecting
-    edges.
-
-    Empty edges merge nothing, an isolated vertex with n >= 2 breaks
-    connectivity, and n = 1 counts as connected regardless of edges.
+    * rows_distinct: no two edges are equal;
+    * empty_edge, full_edge: some edge has no vertex, or every vertex;
+    * cover: no isolated vertex, so an edgeless matrix is not a cover;
+    * common_vertex: some vertex lies in every edge, which holds vacuously
+      for m = 0 (the intersecting property);
+    * singular: some vertex lies in every edge or in none;
+    * t0: every two vertices are separated by some edge;
+    * connected: every two vertices are joined by a chain of pairwise
+      intersecting edges.  Empty edges merge nothing, an isolated vertex
+      with n >= 2 breaks it, and n = 1 is connected whatever the edges;
+    * minimal: a cover that deleting any one edge uncovers;
+    * row_sizes, col_sizes: the sorted edge sizes and vertex degrees.
     """
-    return _connected(matrix.rows, matrix.n, is_cover(matrix))
+
+    rows_distinct: bool
+    empty_edge: bool
+    full_edge: bool
+    cover: bool
+    common_vertex: bool
+    singular: bool
+    t0: bool
+    connected: bool
+    minimal: bool
+    row_sizes: tuple
+    col_sizes: tuple
+
+
+def matrix_features(matrix):
+    """Features of one matrix.  Every field is invariant under reordering
+    the rows."""
+    return MatrixFeatures(*_feature_record(matrix.rows, matrix.n, matrix.columns()))
+
+
+def _feature_record(rows, n, cols):
+    """The `MatrixFeatures` fields of the matrix with these rows on n
+    vertices, as a plain tuple in field order; `cols` are its columns (see
+    `IncidenceMatrix.columns`).  Every column predicate is read off one set
+    of the columns: t0 is distinct columns, and minimal is a cover where
+    every edge i has a private vertex, the column of edge i alone.  The
+    oracle walk calls this directly, with columns it extends one row at a
+    time, and builds a `MatrixFeatures` only once per distinct record."""
+    m = len(rows)
+    col_set = set(cols)
+    # For m = 0 every column is 0 == full, so both vertex conventions hold.
+    full = (1 << m) - 1
+    cover = 0 not in col_set
+    common_vertex = full in col_set
+    return (
+        len(set(rows)) == m,  # rows_distinct
+        0 in rows,  # empty_edge
+        (1 << n) - 1 in rows,  # full_edge
+        cover,
+        common_vertex,
+        common_vertex or not cover,  # singular
+        len(col_set) == n,  # t0
+        _connected(rows, n, cover),  # connected
+        cover and all((1 << i) in col_set for i in range(m)),  # minimal
+        tuple(sorted(map(int.bit_count, rows))),  # row_sizes
+        tuple(sorted(map(int.bit_count, cols))),  # col_sizes
+    )
 
 
 def _connected(rows, n, cover):
@@ -195,120 +195,9 @@ def _connected(rows, n, cover):
     return len(components) == 1
 
 
-def is_minimal_cover(matrix):
-    """A cover in which deleting any single edge destroys the cover property.
-
-    Equivalently: a cover where every edge has a private vertex (a column
-    incident to that edge only).
-    """
-    cols = matrix.columns()
-    if 0 in cols:
-        return False
-    col_set = set(cols)
-    return all((1 << i) in col_set for i in range(matrix.m))
-
-
-def row_sizes(matrix):
-    return [r.bit_count() for r in matrix.rows]
-
-
-def column_sizes(matrix):
-    return [c.bit_count() for c in matrix.columns()]
-
-
-def satisfies(matrix, spec):
-    """True iff the matrix satisfies every enabled constraint of the spec."""
-    if spec.require_t0 and not is_t0(matrix):
-        return False
-    if spec.forbid_empty_edges and has_empty_edge(matrix):
-        return False
-    if spec.forbid_full_edges and has_full_edge(matrix):
-        return False
-    if spec.forbid_singular and has_singular_vertex(matrix):
-        return False
-    if spec.require_cover and not is_cover(matrix):
-        return False
-    if spec.forbid_intersecting and has_common_vertex(matrix):
-        return False
-    if spec.require_minimal_cover and not is_minimal_cover(matrix):
-        return False
-    if spec.require_connected and not is_connected(matrix):
-        return False
-    if spec.uniformity is not None:
-        kind, k = spec.uniformity
-        sizes = row_sizes(matrix)
-        if kind == "exact" and any(s != k for s in sizes):
-            return False
-        if kind == "at_most" and any(s > k for s in sizes):
-            return False
-    if spec.vertex_degree is not None:
-        kind, k = spec.vertex_degree
-        degrees = column_sizes(matrix)
-        if kind == "exact_cover" and any(d != k for d in degrees):
-            return False
-        if kind == "at_most_cover" and any(d < 1 or d > k for d in degrees):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class MatrixFeatures:
-    """Per-matrix facts sufficient to evaluate any ClassSpec.
-
-    The oracle counts matrices per distinct feature record, so it can
-    evaluate many specs without re-scanning bit grids.  `_feature_record`
-    returns the fields as a plain tuple in this order.
-    """
-
-    rows_distinct: bool
-    empty_edge: bool
-    full_edge: bool
-    cover: bool
-    common_vertex: bool
-    singular: bool
-    t0: bool
-    connected: bool
-    minimal: bool
-    row_sizes: tuple
-    col_sizes: tuple
-
-
-def matrix_features(matrix):
-    """Features of one matrix, same truth table as the `is_*`/`has_*`
-    predicates above.  Every field is invariant under reordering the rows."""
-    return MatrixFeatures(*_feature_record(matrix.rows, matrix.n, matrix.columns()))
-
-
-def _feature_record(rows, n, cols):
-    """The `MatrixFeatures` fields of the matrix with these rows on n
-    vertices, as a plain tuple in field order; `cols` are its columns (see
-    `IncidenceMatrix.columns`).  Every column predicate is read off one set
-    of the columns.  The oracle walk calls this directly, with columns it
-    extends one row at a time, and builds a `MatrixFeatures` only once per
-    distinct record."""
-    m = len(rows)
-    col_set = set(cols)
-    # For m = 0 every column is 0 == full, so both vertex conventions hold.
-    full = (1 << m) - 1
-    cover = 0 not in col_set
-    common_vertex = full in col_set
-    return (
-        len(set(rows)) == m,  # rows_distinct
-        0 in rows,  # empty_edge
-        _full_row(n) in rows,  # full_edge
-        cover,
-        common_vertex,
-        common_vertex or not cover,  # singular
-        len(col_set) == n,  # t0
-        _connected(rows, n, cover),  # connected
-        cover and all((1 << i) in col_set for i in range(m)),  # minimal
-        tuple(sorted(map(int.bit_count, rows))),  # row_sizes
-        tuple(sorted(map(int.bit_count, cols))),  # col_sizes
-    )
-
-
 def features_satisfy(features, spec):
-    """Mirror of `satisfies` over extracted features (same truth table)."""
+    """True iff a matrix with these features meets every enabled constraint
+    of the spec (its row convention is not read)."""
     f = features
     if spec.require_t0 and not f.t0:
         return False
@@ -339,3 +228,8 @@ def features_satisfy(features, spec):
         if kind == "at_most_cover" and (f.col_sizes[0] < 1 or f.col_sizes[-1] > k):
             return False
     return True
+
+
+def satisfies(matrix, spec):
+    """True iff the matrix meets every enabled constraint of the spec."""
+    return features_satisfy(matrix_features(matrix), spec)

@@ -6,10 +6,10 @@ matrices of the spec's row convention that satisfy the spec.
 Every `MatrixFeatures` field is invariant under reordering the rows, and
 three of the four row conventions are quotients of the ordered matrices by
 row permutations.  So per (m, n) the oracle walks each multiset of m row
-codes once and counts its feature record in three Counters at once:
+codes once and counts its feature record in two Counters at once; conventions
+1 and 3 read them restricted to records with pairwise-distinct rows:
 
-* 'multisets' (convention 4): weight 1;
-* 'sets' (convention 3): multisets with distinct rows, weight 1;
+* 'multisets' (conventions 3 and 4): weight 1;
 * 'ordered' (conventions 1 and 2): the number of row orders of the
   multiset, m! / prod(mult!), the size of its orbit under row permutations
   (Harary & Palmer, Graphical Enumeration, 1973, ch. 2).
@@ -24,10 +24,10 @@ counted as plain feature tuples (`hypercore._feature_record`), and each
 distinct tuple becomes one `MatrixFeatures` when the walk ends.
 
 Evaluating a spec then only walks the (much smaller) set of distinct
-feature records.  `features_satisfy` is property-tested against
-`satisfies`, and the counts and the Counters themselves are pinned to a
-plain enumeration of all ordered matrices in the tests, so the fast path
-cannot drift.
+feature records.  The tests check the feature records and
+`features_satisfy` against the literal definitions of the class properties,
+and pin the counts and the Counters themselves to a plain enumeration of all
+ordered matrices, so the fast path cannot drift.
 """
 
 from collections import Counter
@@ -73,8 +73,8 @@ class OracleBudget:
 
 DEFAULT_BUDGET = OracleBudget()
 
-# (kind, m, n) -> Counter of MatrixFeatures, kind in 'ordered', 'sets',
-# 'multisets'; one walk fills all three kinds of a cell.
+# (kind, m, n) -> Counter of MatrixFeatures, kind in 'ordered', 'multisets';
+# one walk fills both kinds of a cell.
 _FEATURE_CACHE = {}
 
 
@@ -87,9 +87,7 @@ def _feature_counter(kind, m, n):
         return hit
     records, weighted = _walk_multisets(m, n)
     features = {record: MatrixFeatures(*record) for record in records}
-    multisets = Counter({features[r]: c for r, c in records.items()})
-    _FEATURE_CACHE[("multisets", m, n)] = multisets
-    _FEATURE_CACHE[("sets", m, n)] = Counter({f: c for f, c in multisets.items() if f.rows_distinct})
+    _FEATURE_CACHE[("multisets", m, n)] = Counter({features[r]: c for r, c in records.items()})
     _FEATURE_CACHE[("ordered", m, n)] = Counter({features[r]: c for r, c in weighted.items()})
     return _FEATURE_CACHE[key]
 
@@ -151,19 +149,19 @@ def count(spec, m, n, budget=DEFAULT_BUDGET):
 
     One orbit-weighted walk over row multisets serves every convention:
     convention 2 reads the 'ordered' counter (multinomial weights, so all
-    2**(m*n) matrices), convention 1 the same counter restricted to
-    pairwise-distinct rows, and conventions 3 and 4 the unweighted
-    'sets' / 'multisets' counters.
+    2**(m*n) matrices), convention 4 the unweighted 'multisets' counter,
+    and conventions 1 and 3 the same counters restricted to
+    pairwise-distinct rows.
     """
     if m < 1 or n < 1:
         raise ValueError("oracle counts need m >= 1 and n >= 1")
     conv = spec.row_convention
     budget.check(conv, m, n)
-    kind = {1: "ordered", 2: "ordered", 3: "sets", 4: "multisets"}[conv]
-    counter = _feature_counter(kind, m, n)
+    counter = _feature_counter("ordered" if conv in (1, 2) else "multisets", m, n)
+    distinct_rows = conv in (1, 3)
     total = 0
     for feats, mult in counter.items():
-        if conv == 1 and not feats.rows_distinct:
+        if distinct_rows and not feats.rows_distinct:
             continue
         if features_satisfy(feats, spec):
             total += mult
@@ -200,8 +198,9 @@ class ErrataRecord:
 class GridReport:
     """Outcome of verifying one class over a rectangular grid.
 
-    Iterating the report yields the errata records; budget-blocked cells are
-    listed in `skipped`, never raised as failures.
+    Iterating the report yields the errata records; cells whose oracle or
+    formula refused its budget are listed in `skipped`, never raised as
+    failures.
     """
 
     class_id: str
@@ -232,10 +231,10 @@ def verify_grid(class_id, m_max, n_max, k=None, budget=DEFAULT_BUDGET, errata_co
         for n in range(1, n_max + 1):
             try:
                 oracle_value = entry.oracle_count(m, n, k=k, budget=budget)
+                formula_value = entry.evaluate(m, n, k=k, errata_corrected=errata_corrected)
             except BudgetExceededError:
                 report.skipped.append((m, n, k))
                 continue
-            formula_value = entry.evaluate(m, n, k=k, errata_corrected=errata_corrected)
             report.cells_checked += 1
             if formula_value != oracle_value:
                 report.errata.append(

@@ -81,46 +81,6 @@ def order_factor(value, m, direction):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def set_partitions(n):
-    """Yield every set partition of {0,..,n-1} as a tuple of sorted-tuple
-    blocks, blocks ordered by least element.  Deterministic order."""
-    if n == 0:
-        yield ()
-        return
-
-    def extend(k, blocks):
-        if k == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(k)
-            yield from extend(k + 1, blocks)
-            b.pop()
-        blocks.append([k])
-        yield from extend(k + 1, blocks)
-        blocks.pop()
-
-    yield from extend(1, [[0]])
-
-
-def partition_sum(alpha_pi, n):
-    """Inclusion-exclusion over all set partitions of an n-set.
-
-    alpha_pi(blocks) must return the number of class members in which the
-    vertices of every block are mutually unseparated; the weight of a
-    partition of type (a_1,..,a_n) is prod [(-1)^(i-1) (i-1)!]^(a_i).
-    """
-    total = 0
-    for blocks in set_partitions(n):
-        weight = 1
-        for b in blocks:
-            size = len(b)
-            w = (-1) ** (size - 1) * factorial(size - 1)
-            weight *= w
-        total += weight * alpha_pi(blocks)
-    return total
-
-
 @cache
 def _signed_cycle_types(n):
     # (tau, (-1)^(n-|tau|) c(tau)) for every type of n, in type order
@@ -131,9 +91,14 @@ def _signed_cycle_types(n):
 
 
 def partition_type_sum(alpha_tau, n):
-    """Type-level form of partition_sum for uniform properties:
-    sum over types tau of (-1)^(n-|tau|) c(tau) alpha_tau(tau), where c(tau)
-    is the number of permutations of cycle type tau (Cauchy's formula).
+    """Inclusion-exclusion over the set partitions of an n-set, for a
+    callback that reads only a partition's type.
+
+    A partition weighs the product over its blocks b of
+    (-1)^(|b|-1) (|b|-1)!, so the partitions of type tau weigh
+    (-1)^(n-|tau|) c(tau) together, c(tau) being the number of permutations
+    of cycle type tau (Cauchy's formula).  The sum is therefore
+    sum over types tau of (-1)^(n-|tau|) c(tau) alpha_tau(tau).
 
     The signed weights are built once per n and memoized; only alpha_tau is
     called per sum.  n above exactmath.MAX_PARTITION_TYPE_N raises

@@ -4,12 +4,10 @@ These deliberately avoid the package's own partition/transform code so that
 derived expected values come from a second route.
 """
 
-import pytest
-
 
 def brute_set_partitions(elements):
-    """All set partitions of a list, as lists of lists (independent of the
-    package's generator)."""
+    """All set partitions of a list, as lists of lists: the one set-partition
+    generator of the repository."""
     if not elements:
         return [[]]
     first, rest = elements[0], elements[1:]
@@ -26,8 +24,3 @@ def type_of_partition(blocks, n):
     for b in blocks:
         tau[len(b) - 1] += 1
     return tuple(tau)
-
-
-@pytest.fixture(scope="session")
-def partitions_of_3():
-    return brute_set_partitions([0, 1, 2])

@@ -164,15 +164,18 @@ def test_verify_grid_limits_below_one_are_bad_args():
 
 
 def test_verify_grid_with_every_cell_over_budget_exits_4(monkeypatch, capsys):
-    # no accepted budget refuses cell (1, 1), so force every oracle call over it
-    def over_budget(self, m, n, k=None, budget=None):
+    # no accepted budget refuses cell (1, 1), so force every oracle call over
+    # it, then every formula call
+    def over_budget(self, m, n, k=None, **options):
         raise BudgetExceededError("forced", m=m, n=n)
 
-    monkeypatch.setattr(catalog.CatalogEntry, "oracle_count", over_budget)
-    code, text = run_cli("verify", "--class", "omega_12", "--m-max", "2", "--n-max", "2")
-    assert code == 4
-    assert text.startswith("BUDGET   omega_12: all 4 cells over budget")
-    assert "omega_12" in capsys.readouterr().err
+    for method in ("oracle_count", "evaluate"):
+        monkeypatch.undo()
+        monkeypatch.setattr(catalog.CatalogEntry, method, over_budget)
+        code, text = run_cli("verify", "--class", "omega_12", "--m-max", "2", "--n-max", "2")
+        assert code == 4, method
+        assert text.startswith("BUDGET   omega_12: all 4 cells over budget")
+        assert "omega_12" in capsys.readouterr().err
 
 
 def test_egf_check_orders_out_of_range_are_bad_args():
@@ -212,6 +215,17 @@ def test_partition_type_sum_over_cap_exits_4_at_once(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: budget exceeded:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("class_id", ["theta_star_21", "bar_theta_star_21"])
+def test_minimal_cover_completions_beyond_the_column_bound_are_zero_at_once(class_id):
+    # 39 columns with two or more ones cannot be distinct in 2 rows; the
+    # completion count once listed all 2^39 row patterns here
+    start = time.perf_counter()
+    code, text = run_cli("table", "--class", class_id, "--m", "2", "--n", "41", "--k", "2")
+    assert code == 0
+    assert text.splitlines()[2] == "2\t0"
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

@@ -8,14 +8,12 @@ from t0enum.exactmath import (
     MAX_PARTITION_TYPE_N,
     BudgetExceededError,
     _sub_type_polynomial,
-    bell,
     binom,
     block_union_ksets,
     block_union_upto,
     falling,
     num_blocks,
     partition_types,
-    partitions_with_type,
     permutations_with_cycle_type,
     selections,
     sigma,
@@ -24,7 +22,6 @@ from t0enum.exactmath import (
 )
 
 from brute_reference import partition_types_literal
-from conftest import brute_set_partitions, type_of_partition
 
 
 def test_binom_examples():
@@ -126,24 +123,6 @@ def test_partition_types_over_cap_refused_before_building():
     with pytest.raises(BudgetExceededError):
         partition_types(10**6)
     assert partition_types(9) is partition_types(9)
-
-
-def test_partitions_with_type_against_brute_force():
-    # derived: enumerate all partitions of a 3-set and bucket by type
-    parts = brute_set_partitions([0, 1, 2])
-    assert len(parts) == 5
-    by_type = {}
-    for blocks in parts:
-        tau = type_of_partition(blocks, 3)
-        by_type[tau] = by_type.get(tau, 0) + 1
-    assert partitions_with_type((1, 1, 0)) == by_type[(1, 1, 0)] == 3
-    assert partitions_with_type((0, 0, 1)) == 1
-    assert partitions_with_type((3, 0, 0)) == 1
-
-
-def test_type_counts_sum_to_bell():
-    for n in range(1, 13):
-        assert sum(partitions_with_type(t) for t in partition_types(n)) == bell(n)
 
 
 def test_cycle_type_weights():

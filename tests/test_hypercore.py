@@ -3,21 +3,14 @@ from itertools import product
 
 import pytest
 
+import brute_reference as literal
 from t0enum.hypercore import (
     ClassSpec,
     IncidenceMatrix,
     MissingParameterError,
-    canonical_row_code,
     features_satisfy,
-    has_common_vertex,
-    has_empty_edge,
-    has_full_edge,
-    is_connected,
-    is_cover,
-    is_t0,
     matrix_features,
     satisfies,
-    transpose,
 )
 
 
@@ -26,19 +19,28 @@ def all_matrices(m, n):
         yield IncidenceMatrix(n=n, rows=rows)
 
 
-def test_canonical_row_code():
-    assert canonical_row_code([1, 0]) == 1
-    assert canonical_row_code([0, 1]) == 2
-    assert canonical_row_code([1, 1]) == 3
+def dual(matrix):
+    """The transpose, built from the package's columns."""
+    return IncidenceMatrix(n=matrix.m, rows=tuple(matrix.columns()))
+
+
+def assert_satisfies(rows, n, spec, expected):
+    # the package and the literal definitions must both give `expected`
+    assert satisfies(IncidenceMatrix(n=n, rows=rows), spec) is expected
+    assert literal.satisfies(rows, n, spec) is expected
+
+
+def assert_feature(rows, n, name, expected):
+    assert getattr(matrix_features(IncidenceMatrix(n=n, rows=rows)), name) is expected
+    assert getattr(literal.literal_features(rows, n), name) is expected
 
 
 def test_transpose_examples():
-    m = IncidenceMatrix.from_bits([[1, 0]])
-    t = transpose(m)
+    t = dual(IncidenceMatrix(n=2, rows=(1,)))
     assert (t.m, t.n) == (2, 1)
-    assert t.rows == (1, 0)
+    assert t.rows == (1, 0) == literal.transpose((1,), 2)
     eye = IncidenceMatrix(n=3, rows=(1, 2, 4))
-    assert transpose(eye).rows == (1, 2, 4)
+    assert dual(eye).rows == (1, 2, 4) == literal.transpose(eye.rows, 3)
 
 
 def test_transpose_is_involution():
@@ -46,52 +48,48 @@ def test_transpose_is_involution():
     for _ in range(100):
         m_, n_ = rng.randint(1, 4), rng.randint(1, 4)
         mat = IncidenceMatrix(n=n_, rows=tuple(rng.randrange(1 << n_) for _ in range(m_)))
-        assert transpose(transpose(mat)) == mat
+        assert dual(mat).rows == literal.transpose(mat.rows, n_)
+        assert dual(dual(mat)) == mat
 
 
 def test_satisfies_examples():
-    assert not satisfies(IncidenceMatrix(n=2, rows=(3,)), ClassSpec(require_t0=True))
-    good = IncidenceMatrix(n=2, rows=(1, 2, 3))
-    assert satisfies(good, ClassSpec(require_t0=True, require_cover=True, require_connected=True))
-    disjoint = IncidenceMatrix(n=2, rows=(2, 1))
-    assert not satisfies(disjoint, ClassSpec(require_connected=True))
+    assert_satisfies((3,), 2, ClassSpec(require_t0=True), False)
+    spec = ClassSpec(require_t0=True, require_cover=True, require_connected=True)
+    assert_satisfies((1, 2, 3), 2, spec, True)
+    assert_satisfies((2, 1), 2, ClassSpec(require_connected=True), False)
 
 
 def test_connectivity_single_vertex_convention():
     # n = 1 is connected regardless of edges, including the all-empty matrix
-    assert is_connected(IncidenceMatrix(n=1, rows=(0, 0)))
-    assert is_connected(IncidenceMatrix(n=1, rows=()))
-    assert not is_connected(IncidenceMatrix(n=2, rows=()))
+    assert_feature((0, 0), 1, "connected", True)
+    assert_feature((), 1, "connected", True)
+    assert_feature((), 2, "connected", False)
 
 
 def test_empty_edge_never_contributes_to_connectivity():
     # {v1 v2}, {} , {v2 v3}: connected through the nonempty edges
-    mat = IncidenceMatrix(n=3, rows=(3, 0, 6))
-    assert is_connected(mat)
+    assert_feature((3, 0, 6), 3, "connected", True)
     # two components bridged by nothing: the empty edge does not help
-    mat2 = IncidenceMatrix(n=3, rows=(3, 0, 4))
-    assert not is_connected(mat2)
+    assert_feature((3, 0, 4), 3, "connected", False)
 
 
 def test_edgeless_matrix_conventions():
-    empty = IncidenceMatrix(n=2, rows=())
-    assert has_common_vertex(empty)  # vacuous intersection convention
-    assert not is_cover(empty)
-    assert not has_empty_edge(empty) and not has_full_edge(empty)
+    assert_feature((), 2, "common_vertex", True)  # vacuous intersection convention
+    assert_feature((), 2, "cover", False)
+    assert_feature((), 2, "empty_edge", False)
+    assert_feature((), 2, "full_edge", False)
 
 
 def test_minimal_cover_and_uniformity():
     # rows {v1}, {v2 v3}: deleting either breaks the cover
-    mat = IncidenceMatrix(n=3, rows=(1, 6))
-    assert satisfies(mat, ClassSpec(require_minimal_cover=True))
-    # adding {v3} makes the big edge non-essential? no: v2 still needs it
-    mat2 = IncidenceMatrix(n=3, rows=(1, 6, 4))
-    assert not satisfies(mat2, ClassSpec(require_minimal_cover=True))
-    assert satisfies(mat, ClassSpec(uniformity=("at_most", 2)))
-    assert not satisfies(mat, ClassSpec(uniformity=("exact", 2)))
-    assert satisfies(IncidenceMatrix(n=3, rows=(3, 6)), ClassSpec(uniformity=("exact", 2)))
-    assert satisfies(IncidenceMatrix(n=2, rows=(1, 2, 3)), ClassSpec(vertex_degree=("at_most_cover", 2)))
-    assert satisfies(IncidenceMatrix(n=2, rows=(1, 2)), ClassSpec(vertex_degree=("exact_cover", 1)))
+    assert_satisfies((1, 6), 3, ClassSpec(require_minimal_cover=True), True)
+    # adding {v3}: {v2 v3} is still needed for v2, but {v3} can be deleted
+    assert_satisfies((1, 6, 4), 3, ClassSpec(require_minimal_cover=True), False)
+    assert_satisfies((1, 6), 3, ClassSpec(uniformity=("at_most", 2)), True)
+    assert_satisfies((1, 6), 3, ClassSpec(uniformity=("exact", 2)), False)
+    assert_satisfies((3, 6), 3, ClassSpec(uniformity=("exact", 2)), True)
+    assert_satisfies((1, 2, 3), 2, ClassSpec(vertex_degree=("at_most_cover", 2)), True)
+    assert_satisfies((1, 2), 2, ClassSpec(vertex_degree=("exact_cover", 1)), True)
 
 
 def test_spec_invariants_normalization():
@@ -108,27 +106,32 @@ def test_spec_invariants_normalization():
 
 
 def test_predicate_duality_exhaustive():
-    # empty edge <-> isolated vertex; intersecting <-> full edge;
-    # bounded-degree cover <-> bounded-size without empty edges
+    # empty edge <-> isolated vertex; intersecting <-> full edge; T0 <->
+    # distinct rows; bounded-degree cover <-> bounded-size without empty edges
+    spec_pairs = [
+        (
+            ClassSpec(vertex_degree=("at_most_cover", k)),
+            ClassSpec(uniformity=("at_most", k), forbid_empty_edges=True),
+        )
+        for k in (1, 2)
+    ]
     for m in range(1, 5):
         for n in range(1, 5):
             for mat in all_matrices(m, n):
-                dual = transpose(mat)
-                assert has_empty_edge(mat) == (0 in dual.columns())
-                assert has_common_vertex(mat) == has_full_edge(dual)
-                for k in (1, 2):
-                    lhs = satisfies(mat, ClassSpec(vertex_degree=("at_most_cover", k)))
-                    rhs = satisfies(
-                        dual, ClassSpec(uniformity=("at_most", k), forbid_empty_edges=True)
-                    )
-                    assert lhs == rhs
+                f, d = matrix_features(mat), matrix_features(dual(mat))
+                assert f.empty_edge == (not d.cover)
+                assert f.common_vertex == d.full_edge
+                assert f.t0 == d.rows_distinct
+                assert (f.row_sizes, f.col_sizes) == (d.col_sizes, d.row_sizes)
+                for degree_spec, size_spec in spec_pairs:
+                    assert features_satisfy(f, degree_spec) == features_satisfy(d, size_spec)
 
 
 def test_t0_has_at_most_one_zero_column():
     for m in range(1, 4):
         for n in range(1, 4):
             for mat in all_matrices(m, n):
-                if is_t0(mat):
+                if matrix_features(mat).t0:
                     assert mat.columns().count(0) <= 1
 
 
@@ -136,10 +139,11 @@ def test_connected_implies_cover_and_intersecting_cover_is_connected():
     for m in range(1, 4):
         for n in range(2, 4):
             for mat in all_matrices(m, n):
-                if is_connected(mat):
-                    assert is_cover(mat)
-                if is_cover(mat) and has_common_vertex(mat):
-                    assert is_connected(mat)
+                f = matrix_features(mat)
+                if f.connected:
+                    assert f.cover
+                if f.cover and f.common_vertex:
+                    assert f.connected
 
 
 def _random_spec(rng):
@@ -163,11 +167,16 @@ def _random_spec(rng):
 
 
 def test_features_agree_with_satisfies():
+    # the package's one truth table against the literal definitions: every
+    # feature field, and every spec read through it
     rng = random.Random(2024)
     specs = [_random_spec(rng) for _ in range(40)]
     for m in range(1, 4):
         for n in range(1, 4):
             for mat in all_matrices(m, n):
                 feats = matrix_features(mat)
+                assert feats == literal.literal_features(mat.rows, n), mat
                 for spec in specs:
-                    assert features_satisfy(feats, spec) == satisfies(mat, spec)
+                    expected = literal.satisfies(mat.rows, n, spec)
+                    assert features_satisfy(feats, spec) == expected, (mat, spec)
+                    assert satisfies(mat, spec) == expected

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -50,14 +51,20 @@ def test_count_matches_direct_filter():
 
 def test_feature_counters_match_literal_enumeration(monkeypatch):
     # the walk's columns, multiplicity runs and weights, checked record by
-    # record on every cell with m*n <= 12
+    # record on every cell with m*n <= 12; convention 3 reads the multisets
+    # with distinct rows
     monkeypatch.setattr(oracle, "_FEATURE_CACHE", {})
     for m in range(1, 13):
         for n in range(1, 12 // m + 1):
             oracle._feature_counter("ordered", m, n)
             expected = feature_counters(m, n)
-            for kind in ("ordered", "multisets", "sets"):
+            assert set(oracle._FEATURE_CACHE) == {("ordered", m, n), ("multisets", m, n)}
+            for kind in ("ordered", "multisets"):
                 assert oracle._FEATURE_CACHE[(kind, m, n)] == expected[kind], (kind, m, n)
+            multisets = oracle._FEATURE_CACHE[("multisets", m, n)]
+            sets = Counter({f: c for f, c in multisets.items() if f.rows_distinct})
+            assert sets == expected["sets"], (m, n)
+            oracle._FEATURE_CACHE.clear()
 
 
 def test_count_conventions_3_and_4():
@@ -181,6 +188,23 @@ def test_verify_grid_skips_on_budget():
     report = verify_grid("alpha_02", 5, 5, budget=OracleBudget(max_cells=12))
     assert report.skipped and not report.errata
     assert (4, 4, None) in report.skipped
+
+
+def test_verify_grid_skips_formula_budget_refusal(monkeypatch):
+    # a formula that refuses its budget on one cell skips that cell only
+    from t0enum.catalog.registry import CatalogEntry
+
+    evaluate = CatalogEntry.evaluate
+
+    def refuse_2_3(self, m, n, k=None, errata_corrected=False):
+        if (m, n) == (2, 3):
+            raise BudgetExceededError("formula over budget", m=m, n=n)
+        return evaluate(self, m, n, k=k, errata_corrected=errata_corrected)
+
+    monkeypatch.setattr(CatalogEntry, "evaluate", refuse_2_3)
+    report = verify_grid("alpha_02", 3, 3)
+    assert report.skipped == [(2, 3, None)]
+    assert report.cells_checked == 8 and report.verified
 
 
 def test_verify_grid_errata_corrected():
