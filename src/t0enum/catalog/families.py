@@ -13,10 +13,11 @@ principles in the docstring of the function that uses it.
 """
 
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 from ..exactmath import (
+    BudgetExceededError,
     binom,
     block_union_ksets,
     block_union_upto,
@@ -29,6 +30,11 @@ from ..transforms import (
     partition_type_sum,
     t0_transform,
 )
+
+# Row tuples `_completion_count` may list.  Every cell of the test suite and
+# of `verify --all` at 5 x 5 lists at most 64; 2^16 tuples take about 0.6 s
+# on a 2-core host, and the time grows with the tuple count.
+MAX_COMPLETION_TUPLES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +317,24 @@ def _completion_count(m, t, size_set):
 
     None exists, and no pattern is listed, when t exceeds the 2^m - m - 1
     columns with two or more ones, or when those 2t or more ones exceed the
-    m * max(size_set) the rows can hold."""
+    m * max(size_set) the rows can hold.  More than MAX_COMPLETION_TUPLES
+    row tuples raise BudgetExceededError before any pattern is listed."""
     if t == 0:
         return 1 if (m == 0 or 0 in size_set) else 0
     if t > 2**m - m - 1 or 2 * t > m * max(size_set):
         return 0
-    patterns = [p for p in range(1 << t) if p.bit_count() in size_set]
+    # The patterns are counted only until they pass the cap: a wide size
+    # set would sum many large binomials.
+    n_patterns = 0
+    for s in sorted(size_set):
+        n_patterns += binom(t, s)
+        if n_patterns > MAX_COMPLETION_TUPLES:
+            break
+    if n_patterns > MAX_COMPLETION_TUPLES or n_patterns**m > MAX_COMPLETION_TUPLES:
+        raise BudgetExceededError(
+            f"completions of {m} rows over {t} vertices exceed {MAX_COMPLETION_TUPLES} row tuples"
+        )
+    patterns = [sum(1 << j for j in c) for s in size_set for c in combinations(range(t), s)]
     total = 0
     for rows in product(patterns, repeat=m):
         cols = [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(t)]
@@ -343,7 +361,8 @@ def bar_theta_star_21(m, n, k):
     size 0..k-1 (the private vertex already makes every edge nonempty)."""
     if m < 1 or n < m or k < 1:
         return 0
-    return falling(n, m) * _completion_count(m, n - m, set(range(k)))
+    # no completion has more than the n - m free vertices
+    return falling(n, m) * _completion_count(m, n - m, set(range(min(k, n - m + 1))))
 
 
 # --- the column recurrences exactly as printed, for the errata ledger ------

@@ -32,7 +32,9 @@ class CatalogEntry:
     """One class id with its formula and the oracle side that checks it.
 
     `formula` takes (m, n), or (m, n, k) when the class needs k; `evaluate`
-    picks the call from `needs_k`.  Three facts are derived rather than
+    picks the call from `needs_k`.  An `oracle_backed` formula reads some
+    input column from the oracle, so it also takes the caller's oracle
+    budget as the keyword `budget`.  Three facts are derived rather than
     stated: `needs_k` is whether `spec_for_k` is set; `convention` is the
     spec's row convention unless given (only a custom-oracle entry, which has
     no spec, gives it); `kind` is "oracle-only" without a formula and
@@ -45,6 +47,7 @@ class CatalogEntry:
     spec: ClassSpec = None
     spec_for_k: object = None  # callable(k) -> ClassSpec
     formula: object = None  # callable(m, n) or, with needs_k, (m, n, k) -> int
+    oracle_backed: bool = False
     custom_oracle: object = None  # callable(m, n, k, budget) -> int
     corrected_id: str = None
     convention_probe: str = None
@@ -77,16 +80,17 @@ class CatalogEntry:
             return self.custom_oracle(m, n, k, budget)
         return oracle_count(self.class_spec(k), m, n, budget)
 
-    def evaluate(self, m, n, k=None, errata_corrected=False):
+    def evaluate(self, m, n, k=None, errata_corrected=False, budget=DEFAULT_BUDGET):
         if errata_corrected and self.corrected_id is not None:
-            return resolve_class(self.corrected_id).evaluate(m, n, k=k)
+            return resolve_class(self.corrected_id).evaluate(m, n, k=k, budget=budget)
         if self.formula is None:
             raise OracleOnlyClassError(f"{self.class_id} is oracle-only")
+        extra = {"budget": budget} if self.oracle_backed else {}
         if not self.needs_k:
-            return self.formula(m, n)
+            return self.formula(m, n, **extra)
         if k is None:
             raise MissingParameterError(f"{self.class_id} needs k")
-        return self.formula(m, n, k)
+        return self.formula(m, n, k, **extra)
 
     @property
     def has_formula(self):
@@ -282,11 +286,15 @@ _register(
 )
 
 
-def _bar_theta_21_oracle(m, n, k):
+def _bar_theta_21_oracle(m, n, k, budget):
     # a minimal cover needs >= 1 vertex and a positive size bound once m >= 1
     if n < 1 or k < 1:
         return 0
-    return oracle_count(_uniform_spec(1, k, bounded=True, **_MINIMAL), m, n, DEFAULT_BUDGET)
+    return oracle_count(_uniform_spec(1, k, bounded=True, **_MINIMAL), m, n, budget)
+
+
+def _bar_theta_51(m, n, k, budget):
+    return F.bar_theta_51_from_21(partial(_bar_theta_21_oracle, budget=budget), m, n, k)
 
 
 _register(
@@ -294,7 +302,8 @@ _register(
     "common-vertex sieve over the (oracle-supplied) minimal bounded-size covers",
     kind="recurrence",
     spec_for_k=partial(_uniform_spec, 1, bounded=True, **_MINIMAL, **_NO_COMMON),
-    formula=partial(F.bar_theta_51_from_21, _bar_theta_21_oracle),
+    formula=_bar_theta_51,
+    oracle_backed=True,
     notes="sieve identity checked with oracle inputs; the minimal column itself has no formula",
 )
 
@@ -465,14 +474,20 @@ _register(
 )
 
 
-def _connected_with_empties_oracle(i, j, k):
+def _connected_with_empties_oracle(i, j, k, budget):
     spec = ClassSpec(
         row_convention=2,
         require_connected=True,
         require_t0=True,
         uniformity=("at_most", k),
     )
-    return oracle_count(spec, i, j, DEFAULT_BUDGET)
+    return oracle_count(spec, i, j, budget)
+
+
+def _bbar_omega_star_12_as_printed(m, n, k, budget):
+    return F.bbar_omega_star_12_as_printed(
+        m, n, k, connected_with_empties=partial(_connected_with_empties_oracle, budget=budget)
+    )
 
 
 _register(
@@ -480,9 +495,8 @@ _register(
     "bounded component recurrence with the cover column inside the sum and the"
     " recursion aimed at the empties-allowed family, read literally",
     spec_for_k=partial(_uniform_spec, 2, bounded=True, require_t0=True, **_CONNECTED),
-    formula=partial(
-        F.bbar_omega_star_12_as_printed, connected_with_empties=_connected_with_empties_oracle
-    ),
+    formula=_bbar_omega_star_12_as_printed,
+    oracle_backed=True,
     corrected_id="bbar_omega_star_12",
 )
 

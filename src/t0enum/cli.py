@@ -4,8 +4,9 @@ Exit codes are a contract for CI gating:
   0 success / verified, 1 formula-vs-oracle mismatch, 2 bad arguments,
   3 unknown class (or one that has no formula where one is needed),
   4 budget exceeded (an oracle cell over the enumeration caps, a
-  partition-type sum over exactmath.MAX_PARTITION_TYPE_N, or a verify grid
-  whose every cell was over budget), 5 internal error (an uncaught
+  partition-type sum over exactmath.MAX_PARTITION_TYPE_N, a completion
+  count over families.MAX_COMPLETION_TUPLES, or a verify grid whose every
+  cell was over budget), 5 internal error (an uncaught
   exception; traceback on stderr).
 """
 
@@ -291,7 +292,7 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=_size_parameter)
-    p.add_argument("--max-cells", type=int, help="override the m*n cap; the row-multiset walk is capped at 2^max-cells")
+    p.add_argument("--max-cells", type=int, help="override the m*n cap; the walk is capped at 2^max-cells multisets of at most max-cells codes")
     p.add_argument("--max-universe", type=int, help="override the 2^n multiset cap")
     p.set_defaults(func=cmd_oracle)
 

@@ -28,7 +28,8 @@ MAX_PARTITION_TYPE_N = 40
 
 class BudgetExceededError(RuntimeError):
     """A requested computation is outside its budget: an oracle cell over the
-    enumeration caps, or a partition-type sum over MAX_PARTITION_TYPE_N."""
+    enumeration caps, a partition-type sum over MAX_PARTITION_TYPE_N, or a
+    completion count over `catalog.families.MAX_COMPLETION_TUPLES`."""
 
     def __init__(self, message, m=None, n=None):
         super().__init__(message)

@@ -4,29 +4,40 @@ The oracle is the referee for every catalog formula: it counts the (m, n)
 matrices of the spec's row convention that satisfy the spec.
 
 Every `MatrixFeatures` field is invariant under reordering the rows, and
-three of the four row conventions are quotients of the ordered matrices by
-row permutations.  So per (m, n) the oracle walks each multiset of m row
-codes once and counts its feature record in two Counters at once; conventions
-1 and 3 read them restricted to records with pairwise-distinct rows:
+under reordering the columns too: `row_sizes` and `col_sizes` are sorted,
+and every other field is a property of the set of rows or of the set of
+columns.  So per (m, n) the oracle walks each multiset of one side's codes
+once and counts its feature record, weighted by the number of orders of the
+multiset, k! / prod(mult!) for k walked codes: the size of its orbit under
+permutations of that side (Harary & Palmer, Graphical Enumeration, 1973,
+ch. 2).  Either side gives the same 'ordered' Counter, the one conventions 1
+and 2 read.  Conventions 3 and 4 are quotients by row permutations only, so
+they read the 'multisets' Counter, the row walk's leaves with weight 1.
 
-* 'multisets' (conventions 3 and 4): weight 1;
-* 'ordered' (conventions 1 and 2): the number of row orders of the
-  multiset, m! / prod(mult!), the size of its orbit under row permutations
-  (Harary & Palmer, Graphical Enumeration, 1973, ch. 2).
+* The row walk (m codes of n bits) fills both Counters at once.
+* The column walk (n codes of m bits) fills 'ordered' alone.  An ordered
+  request runs it when it has strictly fewer leaves,
+  C(2**m + n - 1, n) < C(2**n + m - 1, m): for a wide cell such as (2, 8)
+  that is 165 leaves instead of 32,896.
 
-The walk is depth first over nondecreasing row codes, in the order of
-`combinations_with_replacement(range(2**n), m)`, so the budget's multiset
-count is exactly the number of leaves.  Each step carries the columns of
-the current prefix (row i owns bit i of every column, so moving row i to
-the next code toggles that bit only where the two codes differ) and its
-running prod(mult!) denominator; no leaf rebuilds either.  Leaves are
-counted as plain feature tuples (`hypercore._feature_record`), and each
-distinct tuple becomes one `MatrixFeatures` when the walk ends.
+Conventions 1 and 3 read the Counters restricted to records with
+pairwise-distinct rows.
+
+The walk is depth first over nondecreasing codes, in the order of
+`combinations_with_replacement(range(2**width), k)`, so the budget's
+multiset count is exactly the number of leaves.  Each step carries the
+codes of the other side for the current prefix (walked code i owns bit i
+of every carried code, so moving code i to the next value toggles that bit
+only where the two values differ) and its running prod(mult!) denominator;
+no leaf rebuilds either.  Leaves are counted as plain feature tuples
+(`hypercore._feature_record`, given the rows and the columns in their true
+roles), and each distinct tuple becomes one `MatrixFeatures` when the walk
+ends.
 
 Evaluating a spec then only walks the (much smaller) set of distinct
 feature records.  The tests check the feature records and
 `features_satisfy` against the literal definitions of the class properties,
-and pin the counts and the Counters themselves to a plain enumeration of all
+and pin the counts and both walks' Counters to a plain enumeration of all
 ordered matrices, so the fast path cannot drift.
 """
 
@@ -41,9 +52,12 @@ from .hypercore import MatrixFeatures, _feature_record, features_satisfy
 @dataclass(frozen=True)
 class OracleBudget:
     """Enumeration caps: max_cells bounds m*n for the ordered conventions,
-    max_universe bounds 2**n for the unordered ones.  Every convention is
-    answered by one walk over the C(2**n + m - 1, m) row multisets, which
-    may not exceed 2**max_cells, the size of the largest ordered cell."""
+    max_universe bounds 2**n for the unordered ones.  The walk that will run
+    (see `_walk_plan`) may hold at most max_cells codes per multiset, which
+    bounds the work per leaf, and may have at most 2**max_cells leaves, the
+    size of the largest ordered cell.  An ordered cell within max_cells
+    meets both on either side (at most m*n codes, at most 2**(m*n)
+    multisets), so only an unordered walk is checked for its codes."""
 
     max_cells: int = 20
     max_universe: int = 64
@@ -64,18 +78,41 @@ class OracleBudget:
             raise BudgetExceededError(
                 f"2**{n} exceeds max_universe = {self.max_universe}", m=m, n=n
             )
-        walk = comb(2**n + m - 1, m)
-        if (walk - 1).bit_length() > self.max_cells:  # walk > 2**max_cells
+        elif m > self.max_cells:
             raise BudgetExceededError(
-                f"C(2**{n} + {m} - 1, {m}) row multisets exceed 2**{self.max_cells}", m=m, n=n
+                f"{m} rows per multiset exceed max_cells = {self.max_cells}", m=m, n=n
+            )
+        side, leaves = _walk_plan(_KIND[convention], m, n)
+        if (leaves - 1).bit_length() > self.max_cells:  # leaves > 2**max_cells
+            k, width = (m, n) if side == "rows" else (n, m)
+            raise BudgetExceededError(
+                f"C(2**{width} + {k} - 1, {k}) {side[:-1]} multisets exceed 2**{self.max_cells}",
+                m=m,
+                n=n,
             )
 
 
 DEFAULT_BUDGET = OracleBudget()
 
+# The Counter a row convention reads.
+_KIND = {1: "ordered", 2: "ordered", 3: "multisets", 4: "multisets"}
+
 # (kind, m, n) -> Counter of MatrixFeatures, kind in 'ordered', 'multisets';
-# one walk fills both kinds of a cell.
+# a row walk fills both kinds of a cell, a column walk 'ordered' alone.
 _FEATURE_CACHE = {}
+
+
+def _walk_plan(kind, m, n):
+    """(side, leaves): the side a walk for this kind of Counter walks and
+    its number of multisets.  An 'ordered' Counter walks the columns when
+    their C(2**m + n - 1, n) multisets are strictly fewer than the
+    C(2**n + m - 1, m) row multisets; anything else walks the rows."""
+    rows = comb(2**n + m - 1, m)
+    if kind == "ordered":
+        columns = comb(2**m + n - 1, n)
+        if columns < rows:
+            return "columns", columns
+    return "rows", rows
 
 
 def _feature_counter(kind, m, n):
@@ -85,79 +122,86 @@ def _feature_counter(kind, m, n):
     hit = _FEATURE_CACHE.get(key)
     if hit is not None:
         return hit
-    records, weighted = _walk_multisets(m, n)
-    features = {record: MatrixFeatures(*record) for record in records}
-    _FEATURE_CACHE[("multisets", m, n)] = Counter({features[r]: c for r, c in records.items()})
+    side, _ = _walk_plan(kind, m, n)
+    records, weighted = _walk_multisets(m, n, side)
+    features = {record: MatrixFeatures(*record) for record in weighted}
     _FEATURE_CACHE[("ordered", m, n)] = Counter({features[r]: c for r, c in weighted.items()})
+    if side == "rows":
+        _FEATURE_CACHE[("multisets", m, n)] = Counter({features[r]: c for r, c in records.items()})
     return _FEATURE_CACHE[key]
 
 
-def _walk_multisets(m, n):
-    """Counters of feature records over the m-multisets of n-bit row codes,
-    one with weight 1 and one with weight m!/prod(mult!).
+def _walk_multisets(m, n, side):
+    """Counters of feature records over the multisets of one side's codes
+    of the (m, n) cell: one with weight 1 and one with weight k!/prod(mult!).
 
-    Depth first over nondecreasing codes, in the order of
-    combinations_with_replacement(range(2**n), m).  Beyond the Counters it
-    keeps O(m + n) ints: the rows, their columns, and per row the length of
-    its run of equal codes and the prod(mult!) of the prefix ending there.
+    side is 'rows' (m codes of n bits, carrying the n columns) or
+    'columns' (n codes of m bits, carrying the m rows).  Depth first over
+    nondecreasing codes, in the order of
+    combinations_with_replacement(range(2**width), k).  Beyond the Counters
+    it keeps O(m + n) ints: the walked codes, the carried codes, and per
+    walked code the length of its run of equal codes and the prod(mult!) of
+    the prefix ending there.
     """
     multisets, ordered = Counter(), Counter()
-    m_factorial = factorial(m)
-    last = (1 << n) - 1
-    # The first multiset is m copies of code 0, which sets no column bit.
-    rows, cols = [0] * m, [0] * n
-    runs = list(range(1, m + 1))
+    k, width = (m, n) if side == "rows" else (n, m)
+    k_factorial = factorial(k)
+    last = (1 << width) - 1
+    # The first multiset is k copies of code 0, which sets no carried bit.
+    walked, carried = [0] * k, [0] * width
+    rows, cols = (walked, carried) if side == "rows" else (carried, walked)
+    runs = list(range(1, k + 1))
     denominators = [factorial(run) for run in runs]
     while True:
         record = _feature_record(rows, n, cols)
         multisets[record] += 1
-        ordered[record] += m_factorial // denominators[-1]
-        # Back up past the rows at the last code (all n bits set).
-        i = m - 1
-        while rows[i] == last:
-            edge = 1 << i
-            for j in range(n):
-                cols[j] ^= edge
+        ordered[record] += k_factorial // denominators[-1]
+        # Back up past the codes at the last value (all width bits set).
+        i = k - 1
+        while walked[i] == last:
+            own = 1 << i
+            for j in range(width):
+                carried[j] ^= own
             i -= 1
             if i < 0:
                 return multisets, ordered
-        # Row i moves to the next code, which starts a new run.
-        code = rows[i]
-        _toggle(cols, code ^ (code + 1), 1 << i)
+        # Code i moves to the next value, which starts a new run.
+        code = walked[i]
+        _toggle(carried, code ^ (code + 1), 1 << i)
         code += 1
-        rows[i] = code
+        walked[i] = code
         runs[i] = 1
         denominators[i] = denominators[i - 1] if i else 1
-        # The rows below restart at the same code, extending its run.
-        for d in range(i + 1, m):
-            rows[d] = code
-            _toggle(cols, code, 1 << d)
+        # The codes after it restart at the same value, extending its run.
+        for d in range(i + 1, k):
+            walked[d] = code
+            _toggle(carried, code, 1 << d)
             runs[d] = runs[d - 1] + 1
             denominators[d] = denominators[d - 1] * runs[d]
 
 
-def _toggle(cols, bits, edge):
-    """Flip the edge bit in each column named by a set bit of `bits`."""
+def _toggle(carried, bits, own):
+    """Flip the bit `own` in each carried code named by a set bit of `bits`."""
     while bits:
         low = bits & -bits
-        cols[low.bit_length() - 1] ^= edge
+        carried[low.bit_length() - 1] ^= own
         bits ^= low
 
 
 def count(spec, m, n, budget=DEFAULT_BUDGET):
     """Exact number of labelled (m, n)-hypergraphs in the class.
 
-    One orbit-weighted walk over row multisets serves every convention:
-    convention 2 reads the 'ordered' counter (multinomial weights, so all
-    2**(m*n) matrices), convention 4 the unweighted 'multisets' counter,
-    and conventions 1 and 3 the same counters restricted to
-    pairwise-distinct rows.
+    One orbit-weighted walk serves every convention: convention 2 reads the
+    'ordered' counter (multinomial weights, so all 2**(m*n) matrices, from
+    the cheaper side's walk), convention 4 the unweighted 'multisets'
+    counter of the row walk, and conventions 1 and 3 the same counters
+    restricted to pairwise-distinct rows.
     """
     if m < 1 or n < 1:
         raise ValueError("oracle counts need m >= 1 and n >= 1")
     conv = spec.row_convention
     budget.check(conv, m, n)
-    counter = _feature_counter("ordered" if conv in (1, 2) else "multisets", m, n)
+    counter = _feature_counter(_KIND[conv], m, n)
     distinct_rows = conv in (1, 3)
     total = 0
     for feats, mult in counter.items():
@@ -220,8 +264,10 @@ def verify_grid(class_id, m_max, n_max, k=None, budget=DEFAULT_BUDGET, errata_co
     """Evaluate formula and oracle on every in-budget cell of a class.
 
     `class_id` must resolve to a catalog entry carrying both an evaluator and
-    a ClassSpec (or a custom oracle).  Returns a GridReport; one ErrataRecord
-    per disagreement, an empty record list meaning the class verified.
+    a ClassSpec (or a custom oracle).  The budget bounds both sides: the
+    oracle's cell and the oracle calls of an oracle-backed formula.  Returns
+    a GridReport; one ErrataRecord per disagreement, an empty record list
+    meaning the class verified.
     """
     from . import catalog
 
@@ -231,7 +277,9 @@ def verify_grid(class_id, m_max, n_max, k=None, budget=DEFAULT_BUDGET, errata_co
         for n in range(1, n_max + 1):
             try:
                 oracle_value = entry.oracle_count(m, n, k=k, budget=budget)
-                formula_value = entry.evaluate(m, n, k=k, errata_corrected=errata_corrected)
+                formula_value = entry.evaluate(
+                    m, n, k=k, errata_corrected=errata_corrected, budget=budget
+                )
             except BudgetExceededError:
                 report.skipped.append((m, n, k))
                 continue

@@ -230,3 +230,9 @@ def test_classification_statuses():
     assert {r.status for r in rep.errata} == {"convention-gap"}
     rep = verify_grid("beta_41_as_printed", 3, 3)
     assert {r.status for r in rep.errata} == {"confirmed-typo"}
+
+
+def test_bounded_completion_sizes_stop_at_the_free_vertices():
+    # no completion has more than the n - m free vertices; the size set once
+    # held all k sizes, so a huge k built a huge set
+    assert F.bar_theta_star_21(2, 3, 10**12) == F.bar_theta_star_21(2, 3, 2) == 6

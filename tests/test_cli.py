@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from t0enum import catalog
+from t0enum import catalog, oracle
 from t0enum.cli import main
 from t0enum.exactmath import falling
 from t0enum.oracle import BudgetExceededError
@@ -283,3 +283,41 @@ def test_k_zero_is_exact_zero_uniformity():
     # the empty edge is the only 0-edge: one (1, n) matrix for every n
     assert run_cli("oracle", "--class", "theta_01", "--m", "1", "--n", "2", "--k", "0") == (0, "1\n")
     assert run_cli("verify", "--class", "theta_01", "--k", "0", "--m-max", "2", "--n-max", "2")[0] == 0
+
+
+@pytest.mark.parametrize("m", ["4000", "1000000"])
+def test_oracle_long_row_multisets_exit_4_at_once(m, capsys):
+    # n = 1 has only m + 1 row multisets, but every leaf costs O(m): a walk
+    # whose multisets hold more than max_cells codes is refused before it
+    # starts (m = 4000 once ran 24 s)
+    start = time.perf_counter()
+    code, _ = run_cli("oracle", "--class", "alpha_04", "--m", m, "--n", "1")
+    assert code == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget exceeded:") and err.count("\n") == 1
+
+
+def test_wide_ordered_cell_at_the_default_cap_walks_its_columns(monkeypatch):
+    # 2^20 ordered matrices: 524,800 row multisets (about 4 s), 286 column
+    # multisets
+    monkeypatch.setattr(oracle, "_FEATURE_CACHE", {})
+    start = time.perf_counter()
+    code, text = run_cli("oracle", "--class", "omega_12", "--m", "2", "--n", "10")
+    assert code == 0
+    assert time.perf_counter() - start < 1.0
+    code, table = run_cli("table", "--class", "omega_12", "--m", "2", "--n", "10")
+    assert code == 0
+    assert table.splitlines()[2] == "2\t" + text.strip()
+
+
+@pytest.mark.parametrize("class_id", ["theta_star_21", "bar_theta_star_21"])
+def test_minimal_cover_completions_over_the_tuple_cap_exit_4_at_once(class_id, capsys):
+    # t = 40 columns pass the bound (40 <= 2^6 - 7, 80 <= 6 * 39), but the
+    # completions would list 2^40 patterns and 40^6 or more row tuples
+    start = time.perf_counter()
+    code, _ = run_cli("table", "--class", class_id, "--m", "6", "--n", "46", "--k", "40")
+    assert code == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget exceeded:") and err.count("\n") == 1

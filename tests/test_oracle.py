@@ -8,7 +8,7 @@ from brute_reference import brute_counts, count_dual, feature_counters
 
 from t0enum import oracle
 from t0enum.exactmath import falling, stirling2
-from t0enum.hypercore import ClassSpec
+from t0enum.hypercore import ClassSpec, MatrixFeatures
 from t0enum.oracle import BudgetExceededError, OracleBudget, count, verify_grid
 
 T0 = ClassSpec(row_convention=2, require_t0=True)
@@ -49,21 +49,39 @@ def test_count_matches_direct_filter():
                 assert got == by_convention, (spec, m, n)
 
 
-def test_feature_counters_match_literal_enumeration(monkeypatch):
-    # the walk's columns, multiplicity runs and weights, checked record by
-    # record on every cell with m*n <= 12; convention 3 reads the multisets
-    # with distinct rows
+def _features(records):
+    return Counter({MatrixFeatures(*record): c for record, c in records.items()})
+
+
+def test_feature_counters_match_literal_enumeration():
+    # the walks' carried codes, multiplicity runs and weights, checked record
+    # by record on every cell with m*n <= 12: the row walk's 'ordered' and
+    # 'multisets' Counters (convention 3 reads the multisets with distinct
+    # rows) and the column walk's 'ordered' Counter
+    for m in range(1, 13):
+        for n in range(1, 12 // m + 1):
+            expected = feature_counters(m, n)
+            multisets, ordered = oracle._walk_multisets(m, n, "rows")
+            assert _features(ordered) == expected["ordered"], ("rows", m, n)
+            assert _features(multisets) == expected["multisets"], (m, n)
+            sets = Counter({f: c for f, c in _features(multisets).items() if f.rows_distinct})
+            assert sets == expected["sets"], (m, n)
+            _, ordered = oracle._walk_multisets(m, n, "columns")
+            assert _features(ordered) == expected["ordered"], ("columns", m, n)
+
+
+def test_ordered_request_walks_the_cheaper_side(monkeypatch):
+    # an ordered request walks the columns exactly when n > m (strictly
+    # fewer column multisets), which fills 'ordered' alone; a later
+    # 'multisets' request runs the row walk and fills both
     monkeypatch.setattr(oracle, "_FEATURE_CACHE", {})
     for m in range(1, 13):
         for n in range(1, 12 // m + 1):
-            oracle._feature_counter("ordered", m, n)
-            expected = feature_counters(m, n)
-            assert set(oracle._FEATURE_CACHE) == {("ordered", m, n), ("multisets", m, n)}
-            for kind in ("ordered", "multisets"):
-                assert oracle._FEATURE_CACHE[(kind, m, n)] == expected[kind], (kind, m, n)
-            multisets = oracle._FEATURE_CACHE[("multisets", m, n)]
-            sets = Counter({f: c for f, c in multisets.items() if f.rows_distinct})
-            assert sets == expected["sets"], (m, n)
+            ordered = oracle._feature_counter("ordered", m, n)
+            filled = {("ordered", m, n)} if n > m else {("ordered", m, n), ("multisets", m, n)}
+            assert set(oracle._FEATURE_CACHE) == filled
+            multisets = oracle._feature_counter("multisets", m, n)
+            assert oracle._FEATURE_CACHE == {("ordered", m, n): ordered, ("multisets", m, n): multisets}
             oracle._FEATURE_CACHE.clear()
 
 
@@ -196,15 +214,46 @@ def test_verify_grid_skips_formula_budget_refusal(monkeypatch):
 
     evaluate = CatalogEntry.evaluate
 
-    def refuse_2_3(self, m, n, k=None, errata_corrected=False):
+    def refuse_2_3(self, m, n, k=None, errata_corrected=False, budget=oracle.DEFAULT_BUDGET):
         if (m, n) == (2, 3):
             raise BudgetExceededError("formula over budget", m=m, n=n)
-        return evaluate(self, m, n, k=k, errata_corrected=errata_corrected)
+        return evaluate(self, m, n, k=k, errata_corrected=errata_corrected, budget=budget)
 
     monkeypatch.setattr(CatalogEntry, "evaluate", refuse_2_3)
     report = verify_grid("alpha_02", 3, 3)
     assert report.skipped == [(2, 3, None)]
     assert report.cells_checked == 8 and report.verified
+
+
+def test_verify_budget_reaches_oracle_backed_formulas(monkeypatch):
+    # the formulas that read an input column from the oracle get the verify
+    # budget, not the default one
+    from t0enum.catalog import registry
+
+    seen = []
+    oracle_count = registry.oracle_count
+
+    def recording(spec, m, n, budget=oracle.DEFAULT_BUDGET):
+        seen.append(budget)
+        return oracle_count(spec, m, n, budget)
+
+    monkeypatch.setattr(registry, "oracle_count", recording)
+    budget = OracleBudget(max_cells=12, max_universe=32)
+    registry.resolve_class("bar_theta_51").evaluate(2, 3, k=1, budget=budget)
+    assert seen == [budget]
+    for class_id in ("bar_theta_51", "bbar_omega_star_12_as_printed"):
+        seen.clear()
+        report = verify_grid(class_id, 3, 3, k=2, budget=budget)
+        assert report.cells_checked == 9
+        # each cell's own oracle call, and the formula's
+        assert len(seen) > 9 and all(b is budget for b in seen), class_id
+
+
+def test_verify_budget_above_the_default_checks_oracle_backed_cells():
+    # m*n = 21 exceeds the default max_cells = 20; the formula of
+    # bar_theta_51 once refused the (3, 7) cell that the oracle accepted
+    report = verify_grid("bar_theta_51", 3, 7, k=1, budget=OracleBudget(max_cells=21))
+    assert report.cells_checked == 21 and not report.skipped and report.verified
 
 
 def test_verify_grid_errata_corrected():
