@@ -462,10 +462,30 @@ def bbar_beta_star_13(m, n):
 # ---------------------------------------------------------------------------
 # connected families
 
+def _row_copies(conv, m, rest):
+    """Structures on m rows that hold e >= 1 copies of one fixed row, the
+    other m - e rows counted by rest(m - e).
+
+    Distinct rows allow one copy: in any of m positions (convention 1) or,
+    unordered, just once (3).  With repeats any e >= 1 copies may appear: in
+    C(m, e) position sets (2) or, unordered, once for each e (4).
+    """
+    if conv == 1:
+        return m * rest(m - 1)
+    if conv == 2:
+        return sum(binom(m, e) * rest(m - e) for e in range(1, m + 1))
+    if conv == 3:
+        return rest(m - 1)
+    return sum(rest(m - e) for e in range(1, m + 1))
+
+
 @cache
 def omega_1(conv, m, n):
-    """Connected hypergraphs without empty edges, by removing everything
-    whose first-vertex component is smaller than the whole vertex set.
+    """Connected hypergraphs without empty edges, by the component
+    recurrence (`transforms.connected_count`): from every hypergraph remove
+    those whose first vertex lies in no edge (the no-empty-edge hypergraphs
+    on the other n - 1 vertices) and those whose first-vertex component is
+    smaller than the whole vertex set.
 
     Boundaries: omega_1(0, 1) = 1, omega_1(0, n > 1) = 0; at n = 1 all edges
     equal the single vertex, so the count is selections(conv, 1, m).
@@ -476,15 +496,11 @@ def omega_1(conv, m, n):
         return 1 if n == 1 else 0
     if n == 1:
         return selections(conv, 1, m)
-    memo = {(i, j): omega_1(conv, i, j) for i in range(1, m + 1) for j in range(1, n)}
-    nu_mode = "ordered" if conv in (1, 2) else "unordered"
     return connected_count(
-        alpha=lambda mm, jj: selections(conv, 2**jj - 1, mm),
-        alpha_iso=lambda mm, nn: selections(conv, 2 ** (nn - 1) - 1, mm),
-        nu_mode=nu_mode,
-        m=m,
-        n=n,
-        memo=memo,
+        head=alpha(1, conv, m, n) - alpha(1, conv, m, n - 1),
+        inner=lambda mm, nn: alpha(1, conv, mm, nn),
+        connected=lambda i, j: omega_1(conv, i, j),
+        ordered=conv in (1, 2), m=m, n=n,
     )
 
 
@@ -494,31 +510,7 @@ def omega_0(conv, m, n):
     empty rows; at most one for the distinct-row conventions."""
     if m == 0:
         return 1 if n == 1 else 0
-    if conv == 1:
-        return m * omega_1(1, m - 1, n) + omega_1(1, m, n)
-    if conv == 2:
-        return sum(binom(m, i) * omega_1(2, m - i, n) for i in range(m + 1))
-    if conv == 3:
-        return omega_1(3, m - 1, n) + omega_1(3, m, n)
-    return sum(omega_1(4, m - i, n) for i in range(m + 1))
-
-
-def _omega_full_edge_sieve(j, conv, m, n):
-    """Count of connected hypergraphs in column j-2 containing a full edge:
-    a full edge makes everything connected, so the other edges are free."""
-    if conv == 1:
-        return m * alpha(j, 1, m - 1, n)
-    if conv == 2:
-        return sum(binom(m, i) * alpha(j, 2, m - i, n) for i in range(1, m + 1))
-    if conv == 3:
-        return alpha(j, 3, m - 1, n)
-    return sum(alpha(j, 4, m - i, n) for i in range(1, m + 1))
-
-
-@cache
-def omega_2or3(j, conv, m, n):
-    base = omega_0(conv, m, n) if j == 2 else omega_1(conv, m, n)
-    return base - _omega_full_edge_sieve(j, conv, m, n)
+    return omega_1(conv, m, n) + _row_copies(conv, m, lambda r: omega_1(conv, r, n))
 
 
 def _covers_with_common_vertex(beta_column, conv, m, n):
@@ -540,7 +532,9 @@ def omega(i, conv, m, n):
     if i == 1:
         return omega_1(conv, m, n)
     if i in (2, 3):
-        return omega_2or3(i, conv, m, n)
+        # less those holding a full edge, which connects everything: their
+        # other edges form any hypergraph of alpha column i
+        return omega(i - 2, conv, m, n) - _row_copies(conv, m, lambda r: alpha(i, conv, r, n))
     if i in (4, 5):
         return omega(i - 4, conv, m, n) - _covers_with_common_vertex(0, conv, m, n)
     if i in (6, 7):
@@ -570,16 +564,9 @@ def omega_star(i, conv, m, n):
     if i in (1, 3, 5, 7):
         return _omega_star_no_empty(i, conv, m, n)
     rest = 1 if i in (0, 4) else 3
-    head = _omega_star_no_empty(i + 1, conv, m, n)
-    if conv == 1:
-        return head + m * _omega_star_no_empty(rest, 1, m - 1, n)
-    if conv == 2:
-        return head + sum(
-            binom(m, e) * _omega_star_no_empty(rest, 2, m - e, n) for e in range(1, m + 1)
-        )
-    if conv == 3:
-        return head + _omega_star_no_empty(rest, 3, m - 1, n)
-    return head + sum(_omega_star_no_empty(rest, 4, m - e, n) for e in range(1, m + 1))
+    return _omega_star_no_empty(i + 1, conv, m, n) + _row_copies(
+        conv, m, lambda r: _omega_star_no_empty(rest, conv, r, n)
+    )
 
 
 def omega_star_as_printed(i, conv, m, n):
@@ -591,99 +578,80 @@ def omega_star_as_printed(i, conv, m, n):
 # ---------------------------------------------------------------------------
 # connected fixed-edge-size families, distinct columns
 
-def _nu_weight(s, m, i):
-    return binom(m, i) if s in (1, 2) else 1
-
-
 @cache
 def bar_omega_star_0(s, m, n, k):
     """Connected k-uniform distinct-column hypergraphs.
 
-    Same component recurrence as omega_1, driven by the theta_star tables;
-    theta_star_0 at m = 0 is [n = 1], which is the leftover-isolated-vertex
-    boundary the recurrence needs.
+    The component recurrence (`transforms.connected_count`) driven by the
+    theta_star tables: theta_star_1(n - 1) of them leave the first vertex in
+    no edge (distinct columns make the rest a cover), and theta_star_0 at
+    m = 0 is [n = 1], which is the leftover-isolated-vertex boundary the
+    recurrence needs.
     """
     if n == 1:
         if k == 1 and (s in (2, 4) or m == 1):
             return 1
         return 0
-    total = theta_star_0(s, m, n, k) - theta_star_1(s, m, n - 1, k)
-    for i in range(1, m + 1):
-        for j in range(1, n):
-            total -= (
-                _nu_weight(s, m, i)
-                * binom(n - 1, j - 1)
-                * theta_star_0(s, m - i, n - j, k)
-                * bar_omega_star_0(s, i, j, k)
-            )
-    return total
+    return connected_count(
+        head=theta_star_0(s, m, n, k) - theta_star_1(s, m, n - 1, k),
+        inner=lambda mm, nn: theta_star_0(s, mm, nn, k),
+        connected=lambda i, j: bar_omega_star_0(s, i, j, k),
+        ordered=s in (1, 2), m=m, n=n,
+    )
 
 
 @cache
 def bbar_omega_star_1(s, m, n, k):
     """Connected bounded-edge-size distinct-column hypergraphs without empty
-    edges (sizes 1..k)."""
+    edges (sizes 1..k), by the same recurrence over the bar_theta_star
+    tables."""
     if n == 1:
         if s in (2, 4) or m == 1:
             return 1
         return 0
-    total = bar_theta_star_0(s, m, n, k) - bar_theta_star_1(s, m, n - 1, k)
-    for i in range(1, m + 1):
-        for j in range(1, n):
-            total -= (
-                _nu_weight(s, m, i)
-                * binom(n - 1, j - 1)
-                * bar_theta_star_0(s, m - i, n - j, k)
-                * bbar_omega_star_1(s, i, j, k)
-            )
-    return total
-
-
-def _nu_weight_by_k(k, m, i):
-    # the literal reading: the weight subscript is the size parameter
-    return binom(m, i) if k in (1, 2) else 1
+    return connected_count(
+        head=bar_theta_star_0(s, m, n, k) - bar_theta_star_1(s, m, n - 1, k),
+        inner=lambda mm, nn: bar_theta_star_0(s, mm, nn, k),
+        connected=lambda i, j: bbar_omega_star_1(s, i, j, k),
+        ordered=s in (1, 2), m=m, n=n,
+    )
 
 
 @cache
 def bar_omega_star_02_as_printed(m, n, k):
     """Connected k-uniform recurrence read literally: the split weight is
-    indexed by the size parameter k, and the zero-edge boundary is 1 even on
-    two or more leftover vertices."""
+    indexed by the size parameter k (ordered for k in (1, 2)) instead of the
+    row convention, and the zero-edge boundary is 1 even on two or more
+    leftover vertices (theta0_printed)."""
     if n == 1:
         if k == 1:
             return 1
         return 0
+
     def theta0_printed(mm, nn):
         if mm == 0:
             return 1
         return theta_star_0(2, mm, nn, k)
 
-    total = theta_star_0(2, m, n, k) - theta_star_1(2, m, n - 1, k)
-    for i in range(1, m + 1):
-        for j in range(1, n):
-            total -= (
-                _nu_weight_by_k(k, m, i)
-                * binom(n - 1, j - 1)
-                * theta0_printed(m - i, n - j)
-                * bar_omega_star_02_as_printed(i, j, k)
-            )
-    return total
+    return connected_count(
+        head=theta_star_0(2, m, n, k) - theta_star_1(2, m, n - 1, k),
+        inner=theta0_printed,
+        connected=lambda i, j: bar_omega_star_02_as_printed(i, j, k),
+        ordered=k in (1, 2), m=m, n=n,
+    )
 
 
 def bbar_omega_star_12_as_printed(m, n, k, connected_with_empties):
     """Bounded-size connected recurrence read literally: the through-count
-    inside the sum is the cover column and the recursion refers to the
-    empty-edges-allowed connected family (supplied as a callable, normally
-    the oracle since no formula for it is given)."""
+    inside the sum is the cover column, the split weight is indexed by the
+    size parameter k, and the recursion refers to the empty-edges-allowed
+    connected family (supplied as a callable, normally the oracle since no
+    formula for it is given)."""
     if n == 1:
         return 1
-    total = bar_theta_star_0(2, m, n, k) - bar_theta_star_1(2, m, n - 1, k)
-    for i in range(1, m + 1):
-        for j in range(1, n):
-            total -= (
-                _nu_weight_by_k(k, m, i)
-                * binom(n - 1, j - 1)
-                * bar_theta_star_1(2, m - i, n - j, k)
-                * connected_with_empties(i, j, k)
-            )
-    return total
+    return connected_count(
+        head=bar_theta_star_0(2, m, n, k) - bar_theta_star_1(2, m, n - 1, k),
+        inner=lambda mm, nn: bar_theta_star_1(2, mm, nn, k),
+        connected=lambda i, j: connected_with_empties(i, j, k),
+        ordered=k in (1, 2), m=m, n=n,
+    )

@@ -85,9 +85,9 @@ def _resolve(class_id):
         raise CliError(EXIT_UNKNOWN_CLASS, f"unknown class {class_id!r}")
 
 
-def _entry_formula_value(entry, m, n, k, errata_corrected):
+def _entry_formula_value(entry, m, n, k, errata_corrected, budget):
     try:
-        return entry.evaluate(m, n, k=k, errata_corrected=errata_corrected)
+        return entry.evaluate(m, n, k=k, errata_corrected=errata_corrected, budget=budget)
     except OracleOnlyClassError:
         raise CliError(EXIT_UNKNOWN_CLASS, "oracle-only class; use oracle command")
     except MissingParameterError:
@@ -99,10 +99,11 @@ def cmd_table(args, out):
     entry = _resolve(args.class_id)
     if entry.needs_k and k is None:
         raise CliError(EXIT_BAD_ARGS, f"class {args.class_id} needs --k")
+    budget = _budget_from_args(args)
     grid = {}
     for m in m_range:
         for n in n_range:
-            grid[(m, n)] = _entry_formula_value(entry, m, n, k, args.errata_corrected)
+            grid[(m, n)] = _entry_formula_value(entry, m, n, k, args.errata_corrected, budget)
     k_note = "" if k is None else f" k={k}"
     if args.format == "json":
         payload = {
@@ -226,12 +227,13 @@ def cmd_sequence(args, out):
         raise CliError(EXIT_BAD_ARGS, "limit must be >= 0")
     if args.n_max < 1:
         raise CliError(EXIT_BAD_ARGS, "--n-max must be >= 1")
+    budget = _budget_from_args(args)
     cells = _antidiagonal_cells() if args.order == "antidiagonal" else _row_cells(args.n_max)
     index = 1
     for m, n in cells:
         if index > args.limit:
             break
-        value = _entry_formula_value(entry, m, n, args.k, args.errata_corrected)
+        value = _entry_formula_value(entry, m, n, args.k, args.errata_corrected, budget)
         out.write(f"{index} {value}\n")
         index += 1
     return EXIT_OK
@@ -251,7 +253,7 @@ def cmd_egf_check(args, out):
         for n in range(args.order_x + 1)
     }
     omega_table = {
-        (m, n): F.omega_1(conv, m, n) if args.corrupt_cell != (m, n) else F.omega_1(conv, m, n) + 1
+        (m, n): F.omega_1(conv, m, n)
         for m in range(args.order_y + 1)
         for n in range(1, args.order_x + 1)
     }
@@ -261,14 +263,6 @@ def cmd_egf_check(args, out):
         return EXIT_OK
     out.write(f"mismatch at (m, n) = {mismatch}\n")
     return EXIT_MISMATCH
-
-
-def _parse_cell(text):
-    try:
-        m, n = text.split(",")
-        return (int(m), int(n))
-    except ValueError:
-        raise CliError(EXIT_BAD_ARGS, f"bad cell {text!r}; expected M,N")
 
 
 def build_parser():
@@ -322,7 +316,6 @@ def build_parser():
     p.add_argument("--family", type=int, required=True, help="row convention 1..4")
     p.add_argument("--order-x", type=int, default=5)
     p.add_argument("--order-y", type=int, default=5)
-    p.add_argument("--corrupt-cell", type=_parse_cell, default=None, help="test hook: add 1 to one connected cell")
     p.set_defaults(func=cmd_egf_check)
 
     return parser

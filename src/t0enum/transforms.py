@@ -16,7 +16,8 @@ Vocabulary (used across the package):
   * cover_transform     - the shift producing distinct-column cover counts
                           from plain counts of an isolated-vertex-stable
                           property;
-  * connected_count     - the connected-component recurrence.
+  * connected_count     - the connected-component recurrence, the one
+                          double sum of every connected family.
 """
 
 from dataclasses import dataclass, field
@@ -35,10 +36,6 @@ from .exactmath import (
 
 class InsufficientTableDepthError(ValueError):
     """A series check was asked for orders the tables do not cover."""
-
-
-class MissingMemoError(KeyError):
-    """connected_count needs every smaller connected value precomputed."""
 
 
 def t0_transform(source, n):
@@ -116,26 +113,24 @@ def cover_transform(source, n):
     return sum(stirling1(n + 1, i) * source(i - 1) for i in range(1, n + 2))
 
 
-def connected_count(alpha, alpha_iso, nu_mode, m, n, memo):
-    """One cell of the connected-component recurrence.
+def connected_count(head, inner, connected, ordered, m, n):
+    """One cell of the connected-component recurrence (the exp-log identity).
 
-    omega(m,n) = alpha(m,n) - alpha_iso(m,n)
-                 - sum_{i=1..m} sum_{j=1..n-1} nu(m,i) C(n-1,j-1)
-                   alpha(m-i, n-j) omega(i,j)
+    connected(m, n) = head - sum_{i=1..m} sum_{j=1..n-1}
+                      nu(m, i) C(n-1, j-1) inner(m-i, n-j) connected(i, j)
 
-    nu(m,i) is C(m,i) for nu_mode "ordered" and 1 for "unordered".  The memo
-    must hold omega(i, j) for every i <= m, j < n; the result is independent
-    of how the memo was filled (pure recursion).
+    head counts every structure less those whose first vertex lies in no
+    edge.  The sum removes those whose first-vertex component has i edges on
+    j < n vertices: C(n-1, j-1) picks its other vertices and inner counts
+    the other m - i edges on the other n - j vertices.  nu(m, i) is C(m, i)
+    for ordered rows (which i rows form the component) and 1 otherwise.
+    connected is normally the memoized family itself.
     """
-    if nu_mode not in ("ordered", "unordered"):
-        raise ValueError(f"unknown nu_mode {nu_mode!r}")
-    total = alpha(m, n) - alpha_iso(m, n)
+    total = head
     for i in range(1, m + 1):
-        nu = binom(m, i) if nu_mode == "ordered" else 1
+        nu = binom(m, i) if ordered else 1
         for j in range(1, n):
-            if (i, j) not in memo:
-                raise MissingMemoError((i, j))
-            total -= nu * binom(n - 1, j - 1) * alpha(m - i, n - j) * memo[(i, j)]
+            total -= nu * binom(n - 1, j - 1) * inner(m - i, n - j) * connected(i, j)
     return total
 
 

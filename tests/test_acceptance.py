@@ -97,6 +97,25 @@ def test_criterion_4_oracle_certification():
     _announce(4, f"{checked} class grids certified against the oracle ({elapsed:.1f}s)")
 
 
+def test_criterion_4b_corrected_certification_at_5x5():
+    # the larger grid with the budget raised to its m*n = 25 cells: every
+    # class line is "ok" with no skipped cell, not only the exit code
+    start = time.perf_counter()
+    out = io.StringIO()
+    code = cli_main(
+        ["verify", "--all", "--m-max", "5", "--n-max", "5", "--m-max-unordered", "5",
+         "--max-cells", "25", "--errata-corrected"],
+        out=out,
+    )
+    lines = out.getvalue().splitlines()
+    assert code == 0
+    assert all(line.startswith(("ok ", "# classes checked:")) for line in lines)
+    assert not [line for line in lines if "skipped" in line]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 600
+    _announce("4b", f"corrected verify --all certified at m, n <= 5 with no skipped cell ({elapsed:.1f}s)")
+
+
 def test_criterion_5_errata_reproduction():
     suspected = [
         ("beta_01_as_printed", None, "convention-gap"),

@@ -232,6 +232,32 @@ def test_classification_statuses():
     assert {r.status for r in rep.errata} == {"confirmed-typo"}
 
 
+def test_connected_as_printed_errata_are_pinned():
+    # formula values of the two literal component recurrences on the cells
+    # where they leave the oracle at m, n <= 4: each keeps its weight indexed
+    # by k (ordered only for k in (1, 2)), and bar_omega_star_02_as_printed
+    # its zero-edge boundary of 1 on any leftover vertices
+    pinned = {
+        ("bar_omega_star_02_as_printed", 1): {
+            (1, 3): -1, (1, 4): 2, (2, 3): -1, (2, 4): 8,
+            (3, 3): -1, (3, 4): 20, (4, 3): -1, (4, 4): 44,
+        },
+        ("bar_omega_star_02_as_printed", 2): {},
+        ("bbar_omega_star_12_as_printed", 2): {
+            (1, 2): 1, (2, 2): 3, (2, 3): 18, (2, 4): 18, (3, 2): 7,
+            (3, 3): 108, (3, 4): 438, (4, 2): 15, (4, 3): 546, (4, 4): 4710,
+        },
+        ("bbar_omega_star_12_as_printed", 3): {
+            (1, 2): 1, (2, 2): 5, (2, 3): 18, (2, 4): 18, (3, 2): 19,
+            (3, 3): 220, (3, 4): 1314, (4, 2): 65, (4, 3): 1942, (4, 4): 27888,
+        },
+    }
+    for (cid, k), cells in pinned.items():
+        report = verify_grid(cid, 4, 4, k=k)
+        assert report.cells_checked == 16
+        assert {(r.m, r.n): r.formula_value for r in report.errata} == cells
+
+
 def test_bounded_completion_sizes_stop_at_the_free_vertices():
     # no completion has more than the n - m free vertices; the size set once
     # held all k sizes, so a huge k built a huge set

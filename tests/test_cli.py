@@ -74,6 +74,27 @@ def test_oracle_budget_env_override(monkeypatch):
     assert code == 0 and int(text) == 2**6
 
 
+def test_table_budget_env_reaches_oracle_backed_formula(monkeypatch, capsys):
+    # bar_theta_51 reads its minimal-cover column from the oracle; the (2, 3)
+    # cell is within the default budget but not within m*n <= 4
+    argv = ("table", "--class", "bar_theta_51", "--m", "2", "--n", "3", "--k", "1")
+    assert run_cli(*argv)[0] == 0
+    monkeypatch.setenv("T0ENUM_BUDGET_CELLS", "4")
+    assert run_cli(*argv)[0] == 4
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_sequence_budget_env_reaches_oracle_backed_formula(monkeypatch, capsys):
+    # the eighth antidiagonal cell is (2, 3)
+    argv = ("sequence", "--class", "bar_theta_51", "--k", "1", "--limit", "8")
+    code, text = run_cli(*argv)
+    assert code == 0 and len(text.splitlines()) == 8
+    monkeypatch.setenv("T0ENUM_BUDGET_CELLS", "4")
+    code, text = run_cli(*argv)
+    assert code == 4 and len(text.splitlines()) == 7
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_oracle_multiset_walk_over_budget_exits_quickly():
     # 2^6 rows are within max_universe, but C(72, 9) multisets are not
     # within 2^max_cells: refused before any enumeration
@@ -147,12 +168,16 @@ def test_sequence_row_order():
                       F.omega(1, 2, 2, 1), F.omega(1, 2, 2, 2)]
 
 
-def test_egf_check_command():
+def test_egf_check_command(monkeypatch):
     for family in (1, 2, 3, 4):
         code, _ = run_cli("egf-check", "--family", str(family), "--order-x", "4", "--order-y", "4")
         assert code == 0
-    code, text = run_cli("egf-check", "--family", "2", "--corrupt-cell", "2,2")
+    # a failed identity exits 1 and names its cell; the check itself is
+    # pinned on a corrupted table in test_transforms
+    monkeypatch.setattr("t0enum.cli.first_egf_mismatch", lambda *args: (2, 2))
+    code, text = run_cli("egf-check", "--family", "2")
     assert code == 1 and "(2, 2)" in text
+    monkeypatch.undo()
     assert run_cli("egf-check", "--family", "2", "--order-x", "9")[0] == 2
     assert run_cli("egf-check", "--family", "7")[0] == 2
 

@@ -10,7 +10,6 @@ from t0enum.hypercore import ClassSpec
 from t0enum.oracle import count
 from t0enum.transforms import (
     InsufficientTableDepthError,
-    MissingMemoError,
     connected_count,
     cover_transform,
     egf_log_check,
@@ -202,21 +201,23 @@ def test_cover_transform():
             assert value == count(spec1, m, n)
 
 
+def _omega12_cell(m, n, memo):
+    # one omega_12 cell whose smaller connected values are read from a dict
+    return connected_count(
+        head=selections(2, 2**n - 1, m) - selections(2, 2 ** (n - 1) - 1, m),
+        inner=lambda mm, jj: selections(2, 2**jj - 1, mm),
+        connected=lambda i, j: memo[(i, j)],
+        ordered=True,
+        m=m,
+        n=n,
+    )
+
+
 def _omega12_via_connected_count(m_max, n_max):
     memo = {}
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
-            if n == 1:
-                memo[(m, 1)] = 1
-            else:
-                memo[(m, n)] = connected_count(
-                    alpha=lambda mm, jj: selections(2, 2**jj - 1, mm),
-                    alpha_iso=lambda mm, nn: selections(2, 2 ** (nn - 1) - 1, mm),
-                    nu_mode="ordered",
-                    m=m,
-                    n=n,
-                    memo=memo,
-                )
+            memo[(m, n)] = 1 if n == 1 else _omega12_cell(m, n, memo)
     return memo
 
 
@@ -224,36 +225,18 @@ def test_connected_count_examples():
     memo = _omega12_via_connected_count(4, 4)
     assert memo[(2, 2)] == 5
     assert memo[(3, 2)] == 19
+    # the dict-driven recurrence is the memoized family on every cell it fills
+    assert memo == {(m, n): F.omega_1(2, m, n) for m in range(1, 5) for n in range(1, 5)}
     spec = ClassSpec(row_convention=1, forbid_empty_edges=True, require_connected=True)
     assert F.omega_1(1, 2, 3) == count(spec, 2, 3)
 
 
-def test_connected_count_missing_memo():
-    with pytest.raises(MissingMemoError):
-        connected_count(
-            alpha=lambda mm, jj: 1,
-            alpha_iso=lambda mm, nn: 0,
-            nu_mode="ordered",
-            m=2,
-            n=3,
-            memo={},
-        )
-
-
 def test_connected_count_memo_order_independent():
     # same memo contents, different fill history: the cell value is a pure
-    # function of the memo
+    # function of the smaller connected values
     memo = _omega12_via_connected_count(3, 3)
     shuffled = dict(reversed(list(memo.items())))
-    value = connected_count(
-        alpha=lambda mm, jj: selections(2, 2**jj - 1, mm),
-        alpha_iso=lambda mm, nn: selections(2, 2 ** (nn - 1) - 1, mm),
-        nu_mode="ordered",
-        m=3,
-        n=3,
-        memo=shuffled,
-    )
-    assert value == F.omega_1(2, 3, 3)
+    assert _omega12_cell(3, 3, shuffled) == F.omega_1(2, 3, 3)
 
 
 def test_component_sum_reconstructs_plain_table():
