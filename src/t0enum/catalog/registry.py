@@ -12,9 +12,10 @@ import json
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import combinations
+from math import comb
 
 from ..hypercore import ClassSpec, MissingParameterError
-from ..oracle import DEFAULT_BUDGET, BudgetExceededError
+from ..oracle import DEFAULT_BUDGET
 from ..oracle import count as oracle_count
 from . import families as F
 
@@ -384,13 +385,21 @@ def _graph_component_count(loops, require_cover, m, n, k, budget):
 
     That is the obstruction dual to equal incidence columns; for loop-free
     graphs it coincides with forbidding connectedness components of size 2.
+    The walk runs over the C(E, m) sets of m of the E possible edges, each
+    edge an n-bit code, and the budget prices it as it prices every oracle
+    walk: n <= max_cells, at most 2**max_cells leaves, and at most max_cells
+    edges per leaf.  The last cap is waived when m >= E, where the walk has
+    at most one leaf: m is not capped by itself, since m > E gives none.
     """
-    if 2**n > budget.max_universe:
-        raise BudgetExceededError(f"2**{n} exceeds max_universe", m=m, n=n)
+    budget.check_size(n, "n", m, n)
     edges = []
     if loops:
         edges.extend(1 << v for v in range(n))
     edges.extend((1 << u) | (1 << v) for u in range(n) for v in range(u + 1, n))
+    subsets = comb(len(edges), m)
+    budget.check_leaves(subsets, lambda: f"C({len(edges)}, {m}) edge subsets", m, n)
+    if subsets > 1:
+        budget.check_size(m, "m", m, n)
     total = 0
     for chosen in combinations(edges, m):
         covered = 0

@@ -3,7 +3,8 @@
 Exit codes are a contract for CI gating:
   0 success / verified, 1 formula-vs-oracle mismatch, 2 bad arguments,
   3 unknown class (or one that has no formula where one is needed),
-  4 budget exceeded (an oracle cell over the enumeration caps, a
+  4 budget exceeded (an oracle walk over the cap: more than max_cells
+  codes or bits per leaf, or more than 2**max_cells leaves; a
   partition-type sum over exactmath.MAX_PARTITION_TYPE_N, a completion
   count over families.MAX_COMPLETION_TUPLES, or a verify grid whose every
   cell was over budget), 5 internal error (an uncaught
@@ -66,14 +67,10 @@ def _size_parameter(text):
 
 def _budget_from_args(args):
     max_cells = getattr(args, "max_cells", None)
-    max_universe = getattr(args, "max_universe", None)
+    if max_cells is None:
+        max_cells = os.environ.get("T0ENUM_BUDGET_CELLS") or OracleBudget.max_cells
     try:
-        if max_cells is None:
-            env = os.environ.get("T0ENUM_BUDGET_CELLS")
-            max_cells = int(env) if env else OracleBudget.max_cells
-        if max_universe is None:
-            max_universe = OracleBudget.max_universe
-        return OracleBudget(max_cells=max_cells, max_universe=max_universe)
+        return OracleBudget(max_cells=int(max_cells))
     except ValueError as exc:
         raise CliError(EXIT_BAD_ARGS, f"bad budget: {exc}")
 
@@ -85,11 +82,14 @@ def _resolve(class_id):
         raise CliError(EXIT_UNKNOWN_CLASS, f"unknown class {class_id!r}")
 
 
+_ORACLE_ONLY = "oracle-only class; use oracle command"
+
+
 def _entry_formula_value(entry, m, n, k, errata_corrected, budget):
     try:
         return entry.evaluate(m, n, k=k, errata_corrected=errata_corrected, budget=budget)
     except OracleOnlyClassError:
-        raise CliError(EXIT_UNKNOWN_CLASS, "oracle-only class; use oracle command")
+        raise CliError(EXIT_UNKNOWN_CLASS, _ORACLE_ONLY)
     except MissingParameterError:
         raise CliError(EXIT_BAD_ARGS, f"class {entry.class_id} needs --k")
 
@@ -169,6 +169,8 @@ def cmd_verify(args, out):
     if args.all:
         ids = catalog.formula_class_ids()
     elif args.class_id:
+        if not _resolve(args.class_id).has_formula:
+            raise CliError(EXIT_UNKNOWN_CLASS, _ORACLE_ONLY)
         ids = [args.class_id]
     else:
         raise CliError(EXIT_BAD_ARGS, "need --class or --all")
@@ -265,6 +267,12 @@ def cmd_egf_check(args, out):
     return EXIT_MISMATCH
 
 
+_MAX_CELLS_HELP = (
+    "the oracle cap (default 20, or T0ENUM_BUDGET_CELLS): a walk may hold at most"
+    " MAX_CELLS codes of at most MAX_CELLS bits per leaf and at most 2^MAX_CELLS leaves"
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="t0enum",
@@ -286,8 +294,7 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=_size_parameter)
-    p.add_argument("--max-cells", type=int, help="override the m*n cap; the walk is capped at 2^max-cells multisets of at most max-cells codes")
-    p.add_argument("--max-universe", type=int, help="override the 2^n multiset cap")
+    p.add_argument("--max-cells", type=int, help=_MAX_CELLS_HELP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="compare formulas against the oracle on a grid")
@@ -299,8 +306,7 @@ def build_parser():
     p.add_argument("--k", type=_size_parameter, help="restrict size-parameterized classes to one k (default 1..3)")
     p.add_argument("--emit-errata", metavar="PATH", help="write JSONL errata records")
     p.add_argument("--errata-corrected", action="store_true", help="evaluate corrected forms of as-printed classes")
-    p.add_argument("--max-cells", type=int)
-    p.add_argument("--max-universe", type=int)
+    p.add_argument("--max-cells", type=int, help=_MAX_CELLS_HELP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sequence", help="emit 'index value' lines reading the table linearly")

@@ -13,23 +13,15 @@ a larger n is refused with BudgetExceededError before anything is built.
 import math
 from functools import cache
 
-# All enumeration results and signed transform coefficients are plain Python
-# ints; the alias documents intent in signatures.
-Count = int
-
-# A partition type is a tuple (a_1, ..., a_n) with sum(i * a_i) == n: a_i is
-# the number of blocks of size i in a set partition of an n-set.
-PartitionType = tuple
-
 # p(40) = 37,338 types, about 13 MB as tuples; p(n) more than doubles with
 # every five steps of n beyond it.
 MAX_PARTITION_TYPE_N = 40
 
 
 class BudgetExceededError(RuntimeError):
-    """A requested computation is outside its budget: an oracle cell over the
-    enumeration caps, a partition-type sum over MAX_PARTITION_TYPE_N, or a
-    completion count over `catalog.families.MAX_COMPLETION_TUPLES`."""
+    """A requested computation is outside its budget: an oracle walk over
+    `oracle.OracleBudget`, a partition-type sum over MAX_PARTITION_TYPE_N,
+    or a completion count over `catalog.families.MAX_COMPLETION_TUPLES`."""
 
     def __init__(self, message, m=None, n=None):
         super().__init__(message)

@@ -51,45 +51,36 @@ from .hypercore import MatrixFeatures, _feature_record, features_satisfy
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Enumeration caps: max_cells bounds m*n for the ordered conventions,
-    max_universe bounds 2**n for the unordered ones.  The walk that will run
-    (see `_walk_plan`) may hold at most max_cells codes per multiset, which
-    bounds the work per leaf, and may have at most 2**max_cells leaves, the
-    size of the largest ordered cell.  An ordered cell within max_cells
-    meets both on either side (at most m*n codes, at most 2**(m*n)
-    multisets), so only an unordered walk is checked for its codes."""
+    """The one enumeration cap, shared by every oracle.  A walk may hold at
+    most max_cells codes of at most max_cells bits per leaf, which bounds
+    the work per leaf and is checked before any binomial is built, and it
+    may have at most 2**max_cells leaves.  A spec oracle walks m codes of n
+    bits or n codes of m bits, so its first cap reads max(m, n) <=
+    max_cells, and it prices the walk `_walk_plan` picks.  The catalog's
+    graph oracle prices its edge subsets with the same two methods."""
 
     max_cells: int = 20
-    max_universe: int = 64
 
     def __post_init__(self):
-        if self.max_cells < 1 or self.max_universe < 2:
-            raise ValueError("budget caps out of range: need max_cells >= 1 and max_universe >= 2")
+        if self.max_cells < 1:
+            raise ValueError("budget cap out of range: need max_cells >= 1")
 
     def check(self, convention, m, n):
-        # Powers of two are compared by bit length and never printed, so a
-        # huge n or cap can neither allocate nor format a huge integer.
-        if convention in (1, 2):
-            if m * n > self.max_cells:
-                raise BudgetExceededError(
-                    f"m*n = {m*n} exceeds max_cells = {self.max_cells}", m=m, n=n
-                )
-        elif n >= self.max_universe.bit_length():  # 2**n > max_universe
-            raise BudgetExceededError(
-                f"2**{n} exceeds max_universe = {self.max_universe}", m=m, n=n
-            )
-        elif m > self.max_cells:
-            raise BudgetExceededError(
-                f"{m} rows per multiset exceed max_cells = {self.max_cells}", m=m, n=n
-            )
+        self.check_size(max(m, n), "max(m, n)", m, n)
         side, leaves = _walk_plan(_KIND[convention], m, n)
+        k, width = (m, n) if side == "rows" else (n, m)
+        self.check_leaves(leaves, lambda: f"C(2**{width} + {k} - 1, {k}) {side[:-1]} multisets", m, n)
+
+    def check_size(self, size, name, m, n):
+        if size > self.max_cells:
+            raise BudgetExceededError(f"{name} = {size} exceeds max_cells = {self.max_cells}", m=m, n=n)
+
+    def check_leaves(self, leaves, what, m, n):
+        # `what()` names the walk and is called only on a refusal.  The count
+        # is compared by bit length and never printed, so a huge cap builds
+        # no power of two and a huge count is never formatted.
         if (leaves - 1).bit_length() > self.max_cells:  # leaves > 2**max_cells
-            k, width = (m, n) if side == "rows" else (n, m)
-            raise BudgetExceededError(
-                f"C(2**{width} + {k} - 1, {k}) {side[:-1]} multisets exceed 2**{self.max_cells}",
-                m=m,
-                n=n,
-            )
+            raise BudgetExceededError(f"{what()} exceed 2**{self.max_cells}", m=m, n=n)
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -242,7 +233,7 @@ class ErrataRecord:
 class GridReport:
     """Outcome of verifying one class over a rectangular grid.
 
-    Iterating the report yields the errata records; cells whose oracle or
+    `errata` holds one record per disagreeing cell; cells whose oracle or
     formula refused its budget are listed in `skipped`, never raised as
     failures.
     """
@@ -251,9 +242,6 @@ class GridReport:
     errata: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
     cells_checked: int = 0
-
-    def __iter__(self):
-        return iter(self.errata)
 
     @property
     def verified(self):

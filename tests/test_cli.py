@@ -76,7 +76,8 @@ def test_oracle_budget_env_override(monkeypatch):
 
 def test_table_budget_env_reaches_oracle_backed_formula(monkeypatch, capsys):
     # bar_theta_51 reads its minimal-cover column from the oracle; the (2, 3)
-    # cell is within the default budget but not within m*n <= 4
+    # cell is within the default budget, but its 20 column multisets exceed
+    # 2^4
     argv = ("table", "--class", "bar_theta_51", "--m", "2", "--n", "3", "--k", "1")
     assert run_cli(*argv)[0] == 0
     monkeypatch.setenv("T0ENUM_BUDGET_CELLS", "4")
@@ -96,8 +97,8 @@ def test_sequence_budget_env_reaches_oracle_backed_formula(monkeypatch, capsys):
 
 
 def test_oracle_multiset_walk_over_budget_exits_quickly():
-    # 2^6 rows are within max_universe, but C(72, 9) multisets are not
-    # within 2^max_cells: refused before any enumeration
+    # m and n are within max_cells, but C(72, 9) multisets are not within
+    # 2^max_cells: refused before any enumeration
     start = time.perf_counter()
     assert run_cli("oracle", "--class", "alpha_04", "--m", "9", "--n", "6")[0] == 4
     assert time.perf_counter() - start < 5
@@ -110,10 +111,6 @@ def test_oracle_huge_universe_is_refused_without_formatting_it():
 
 def test_oracle_max_cells_out_of_range_is_bad_args():
     assert run_cli("oracle", "--class", "alpha_02", "--m", "2", "--n", "2", "--max-cells", "0")[0] == 2
-
-
-def test_oracle_max_universe_zero_is_not_the_default():
-    assert run_cli("oracle", "--class", "alpha_04", "--m", "2", "--n", "2", "--max-universe", "0")[0] == 2
 
 
 def test_verify_single_class_ok():
@@ -180,6 +177,14 @@ def test_egf_check_command(monkeypatch):
     monkeypatch.undo()
     assert run_cli("egf-check", "--family", "2", "--order-x", "9")[0] == 2
     assert run_cli("egf-check", "--family", "7")[0] == 2
+
+
+@pytest.mark.parametrize("class_id", ["theta_21", "theta_51", "bar_theta_21", "mu_bar_01"])
+def test_verify_oracle_only_class_is_exit_3(class_id, capsys):
+    # no formula to compare: refused before any line is written
+    assert run_cli("verify", "--class", class_id, "--m-max", "2", "--n-max", "2") == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_grid_limits_below_one_are_bad_args():
@@ -346,3 +351,20 @@ def test_minimal_cover_completions_over_the_tuple_cap_exit_4_at_once(class_id, c
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: budget exceeded:") and err.count("\n") == 1
+
+
+def test_ordered_cell_beyond_the_former_product_cap_walks_its_columns(monkeypatch):
+    # 2^30 matrices, m*n = 30 > 20, but only 19,448 column multisets
+    monkeypatch.setattr(oracle, "_FEATURE_CACHE", {})
+    start = time.perf_counter()
+    code, text = run_cli("oracle", "--class", "omega_12", "--m", "3", "--n", "10")
+    assert code == 0
+    assert time.perf_counter() - start < 2.0
+    code, table = run_cli("table", "--class", "omega_12", "--m", "3", "--n", "10")
+    assert code == 0
+    assert table.splitlines()[2] == "3\t" + text.strip()
+
+
+def test_unordered_cell_beyond_the_former_universe_cap():
+    # 2^7 > 64 single-row multisets, once refused by a separate 2^n cap
+    assert run_cli("oracle", "--class", "alpha_04", "--m", "1", "--n", "7") == (0, "128\n")

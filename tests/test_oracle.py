@@ -37,7 +37,7 @@ REFERENCE_SPECS = [
 def test_count_matches_direct_filter():
     # the orbit-weighted multiset walk must agree with a literal enumeration
     # of every ordered matrix + satisfies, on every cell with m*n <= 12
-    budget = OracleBudget(max_cells=12, max_universe=1 << 12)
+    budget = OracleBudget(max_cells=12)
     for m in range(1, 13):
         for n in range(1, 12 // m + 1):
             expected = brute_counts(REFERENCE_SPECS, m, n)
@@ -175,17 +175,22 @@ def test_monotone_filtering():
 
 
 def test_budget_enforcement():
-    tight = OracleBudget(max_cells=6, max_universe=4)
-    with pytest.raises(BudgetExceededError):
-        count(T0, 3, 3, budget=tight)
-    with pytest.raises(BudgetExceededError):
-        count(ClassSpec(row_convention=4), 2, 3, budget=tight)
-    assert count(T0, 2, 3, budget=OracleBudget(max_cells=6)) == falling(4, 3)
+    # one rule for every convention: no code count or code width above
+    # max_cells, then at most 2^max_cells leaves in the walk that runs
+    tight = OracleBudget(max_cells=6)
+    with pytest.raises(BudgetExceededError, match="max_cells = 6"):
+        count(T0, 1, 7, budget=tight)  # 8 column multisets, 7 codes in each
+    with pytest.raises(BudgetExceededError, match=r"exceed 2\*\*6"):
+        count(T0, 3, 3, budget=tight)  # 120 multisets on either side
+    with pytest.raises(BudgetExceededError, match=r"exceed 2\*\*5"):
+        count(ClassSpec(row_convention=4), 2, 3, budget=OracleBudget(max_cells=5))  # 36 leaves
+    assert count(ClassSpec(row_convention=4), 2, 3, budget=tight) == math.comb(9, 2)
+    assert count(T0, 2, 3, budget=tight) == falling(4, 3)
 
 
 def test_budget_bounds_multiset_walk():
     # conventions 3/4 walk C(2^n + m - 1, m) multisets; the walk may not
-    # exceed 2^max_cells even when 2^n is within max_universe
+    # exceed 2^max_cells even when m and n are within max_cells
     with pytest.raises(BudgetExceededError):
         count(ClassSpec(row_convention=4), 9, 6)
     with pytest.raises(BudgetExceededError):
@@ -203,9 +208,11 @@ def test_verify_grid_examples():
 
 
 def test_verify_grid_skips_on_budget():
+    # (4, 4) walks 3,876 <= 2^12 multisets, (5, 5) walks 376,992
     report = verify_grid("alpha_02", 5, 5, budget=OracleBudget(max_cells=12))
     assert report.skipped and not report.errata
-    assert (4, 4, None) in report.skipped
+    assert (5, 5, None) in report.skipped
+    assert (4, 4, None) not in report.skipped
 
 
 def test_verify_grid_skips_formula_budget_refusal(monkeypatch):
@@ -238,7 +245,7 @@ def test_verify_budget_reaches_oracle_backed_formulas(monkeypatch):
         return oracle_count(spec, m, n, budget)
 
     monkeypatch.setattr(registry, "oracle_count", recording)
-    budget = OracleBudget(max_cells=12, max_universe=32)
+    budget = OracleBudget(max_cells=12)
     registry.resolve_class("bar_theta_51").evaluate(2, 3, k=1, budget=budget)
     assert seen == [budget]
     for class_id in ("bar_theta_51", "bbar_omega_star_12_as_printed"):
@@ -250,10 +257,50 @@ def test_verify_budget_reaches_oracle_backed_formulas(monkeypatch):
 
 
 def test_verify_budget_above_the_default_checks_oracle_backed_cells():
-    # m*n = 21 exceeds the default max_cells = 20; the formula of
-    # bar_theta_51 once refused the (3, 7) cell that the oracle accepted
-    report = verify_grid("bar_theta_51", 3, 7, k=1, budget=OracleBudget(max_cells=21))
-    assert report.cells_checked == 21 and not report.skipped and report.verified
+    # n = 21 exceeds the default max_cells = 20; a raised cap reaches the
+    # oracle calls of bar_theta_51's formula as well as the cell's own
+    assert verify_grid("bar_theta_51", 2, 21, k=1).skipped == [(1, 21, 1), (2, 21, 1)]
+    report = verify_grid("bar_theta_51", 2, 21, k=1, budget=OracleBudget(max_cells=21))
+    assert report.cells_checked == 42 and not report.skipped and report.verified
+
+
+@pytest.mark.parametrize(
+    "conventions, m, n",
+    [
+        ((1, 2), 1, 20),
+        ((1, 2), 20, 1),
+        ((1, 2), 4, 5),
+        ((1, 2), 2, 10),
+        ((3, 4), 4, 6),
+        ((3, 4), 20, 1),
+    ],
+)
+def test_default_budget_accepts_the_cells_of_the_former_caps(conventions, m, n):
+    # cells within the former m*n <= 20 (ordered) and 2^n <= 64 (unordered)
+    # caps; the check runs no walk
+    for conv in conventions:
+        oracle.DEFAULT_BUDGET.check(conv, m, n)
+
+
+@pytest.mark.parametrize(
+    "class_id", ["bar_theta_circ_03", "bbar_theta_circ_03", "bar_theta_circ_13", "bbar_theta_circ_13"]
+)
+def test_default_budget_accepts_graph_cells_on_six_vertices(class_id, monkeypatch):
+    # the graph oracle once took any m at n <= 6: the largest walk there is
+    # C(21, 10) = 352,716 edge subsets, and m = 21 edges is the one subset of
+    # all 21 (with loops).  No subset is walked here.
+    from t0enum.catalog import registry
+
+    monkeypatch.setattr(registry, "combinations", lambda edges, m: iter(()))
+    entry = registry.resolve_class(class_id)
+    assert all(entry.oracle_count(m, 6) == 0 for m in range(1, 25))
+    with pytest.raises(BudgetExceededError, match="n = 21"):
+        entry.oracle_count(1, 21)
+    # 171 edges: C(171, 168) = 818,805 subsets of 168 edges each, a walk of
+    # about 69 s on a 2-core host
+    n = 18 if class_id.startswith("bbar") else 19
+    with pytest.raises(BudgetExceededError, match="m = 168"):
+        entry.oracle_count(168, n)
 
 
 def test_verify_grid_errata_corrected():
