@@ -183,10 +183,13 @@ def theta_11(m, n, k):
 def theta_3plus(j, m, n, k):
     """k-edge classes without a common vertex: pin i common vertices, the
     rest is the same class with k - i on n - i.  Zero for m = 1 (one k-edge
-    with k >= 1 always has a common vertex)."""
+    with k >= 1 always has a common vertex).  Empty edges (k = 0) share no
+    vertex, so at k = 0 the class is the inner class."""
+    inner = {0: theta_01, 1: theta_11}[j]
+    if k == 0:
+        return inner(m, n, 0)
     if m == 1:
         return 0
-    inner = {0: theta_01, 1: theta_11}[j]
     return sum((-1) ** i * binom(n, i) * inner(m, n - i, k - i) for i in range(k))
 
 
@@ -586,8 +589,12 @@ def bar_omega_star_0(s, m, n, k):
     theta_star tables: theta_star_1(n - 1) of them leave the first vertex in
     no edge (distinct columns make the rest a cover), and theta_star_0 at
     m = 0 is [n = 1], which is the leftover-isolated-vertex boundary the
-    recurrence needs.
+    recurrence needs.  At k = 0 every edge is empty, so only a single vertex
+    is connected; the recurrence, whose n = 1 base is the k >= 1 one, is
+    not run there.
     """
+    if k == 0:
+        return selections(s, 1, m) if n == 1 else 0
     if n == 1:
         if k == 1 and (s in (2, 4) or m == 1):
             return 1
@@ -604,7 +611,9 @@ def bar_omega_star_0(s, m, n, k):
 def bbar_omega_star_1(s, m, n, k):
     """Connected bounded-edge-size distinct-column hypergraphs without empty
     edges (sizes 1..k), by the same recurrence over the bar_theta_star
-    tables."""
+    tables.  Sizes 1..k with k = 0 admit no edge."""
+    if k == 0:
+        return 0
     if n == 1:
         if s in (2, 4) or m == 1:
             return 1

@@ -536,9 +536,3 @@ def write_manifest(path):
     with open(path, "w") as fh:
         json.dump(manifest(), fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-if __name__ == "__main__":
-    import sys
-
-    write_manifest(sys.argv[1] if len(sys.argv) > 1 else "catalog_manifest.json")

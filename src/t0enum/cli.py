@@ -12,6 +12,7 @@ Exit codes are a contract for CI gating:
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -174,29 +175,34 @@ def cmd_verify(args, out):
         ids = [args.class_id]
     else:
         raise CliError(EXIT_BAD_ARGS, "need --class or --all")
+    # the errata file is opened before any cell runs, so a bad path costs nothing
+    try:
+        errata_out = open(args.emit_errata, "w") if args.emit_errata else contextlib.nullcontext()
+    except OSError as exc:
+        raise CliError(EXIT_BAD_ARGS, f"cannot write --emit-errata file: {exc}")
     all_errata = []
     unchecked_grids = []
     classes_checked = 0
-    for cid in ids:
-        entry = _resolve(cid)
-        m_max = args.m_max
-        if args.all and entry.convention in (3, 4):
-            m_max = args.m_max_unordered or args.m_max + 1
-        if entry.needs_k:
-            ks = [args.k] if args.k is not None else [1, 2, 3]
-        else:
-            ks = [None]
-        for k in ks:
-            report = _verify_one(entry, m_max, args.n_max, k, budget, args.errata_corrected, out)
-            all_errata.extend(report.errata)
-            if report.cells_checked == 0:
-                unchecked_grids.append(cid if k is None else f"{cid} k={k}")
-        classes_checked += 1
-    out.write(f"# classes checked: {classes_checked}\n")
-    if args.emit_errata:
-        with open(args.emit_errata, "w") as fh:
+    with errata_out:
+        for cid in ids:
+            entry = _resolve(cid)
+            m_max = args.m_max
+            if args.all and entry.convention in (3, 4):
+                m_max = args.m_max_unordered or args.m_max + 1
+            if entry.needs_k:
+                ks = [args.k] if args.k is not None else [1, 2, 3]
+            else:
+                ks = [None]
+            for k in ks:
+                report = _verify_one(entry, m_max, args.n_max, k, budget, args.errata_corrected, out)
+                all_errata.extend(report.errata)
+                if report.cells_checked == 0:
+                    unchecked_grids.append(cid if k is None else f"{cid} k={k}")
+            classes_checked += 1
+        out.write(f"# classes checked: {classes_checked}\n")
+        if args.emit_errata:
             for rec in all_errata:
-                fh.write(json.dumps(rec.as_dict(), sort_keys=True) + "\n")
+                errata_out.write(json.dumps(rec.as_dict(), sort_keys=True) + "\n")
     if all_errata:
         out.write(f"# discrepancies: {len(all_errata)}\n")
         return EXIT_MISMATCH

@@ -20,7 +20,6 @@ Vocabulary (used across the package):
                           double sum of every connected family.
 """
 
-from dataclasses import dataclass, field
 from functools import cache
 from math import factorial
 
@@ -134,66 +133,6 @@ def connected_count(head, inner, connected, ordered, m, n):
     return total
 
 
-@dataclass
-class SeriesTable:
-    """Truncated bivariate series with exact integer coefficients.
-
-    coefficient(m, n) is the count itself; the normalization is implicit:
-    exponential in the vertex variable always, and exponential in the edge
-    variable for conventions 1-2 but ordinary for conventions 3-4.  Products
-    and logarithms below work on the normalized series through integer
-    recurrences only (binomial-weighted convolutions), so no rationals ever
-    appear.
-    """
-
-    order_m: int
-    order_n: int
-    y_mode: str  # "egf" | "ogf"
-    coefficients: dict = field(default_factory=dict)
-
-    def coeff(self, m, n):
-        return self.coefficients.get((m, n), 0)
-
-    def y_convolve(self, f, g):
-        """Coefficient list of the product of two edge-variable columns."""
-        out = [0] * (self.order_m + 1)
-        for m in range(self.order_m + 1):
-            acc = 0
-            for i in range(m + 1):
-                w = binom(m, i) if self.y_mode == "egf" else 1
-                acc += w * f[i] * g[m - i]
-            out[m] = acc
-        return out
-
-    def column(self, n):
-        return [self.coeff(m, n) for m in range(self.order_m + 1)]
-
-    def log_x(self):
-        """Series L with 1 + L = exp-log inverse of self along the vertex
-        variable: a_n = sum_j C(n-1, j-1) (l_j * a_{n-j}), solved for l_n.
-
-        Requires the constant column a(., 0) to be the multiplicative unit
-        (1 at m = 0); raises otherwise.
-        """
-        a0 = self.column(0)
-        if a0[0] != 1 or any(a0[1:]):
-            raise InsufficientTableDepthError("constant column is not the series unit")
-        log_cols = {}
-        for n in range(1, self.order_n + 1):
-            residual = list(self.column(n))
-            for j in range(1, n):
-                conv = self.y_convolve(log_cols[j], self.column(n - j))
-                c = binom(n - 1, j - 1)
-                residual = [r - c * v for r, v in zip(residual, conv)]
-            log_cols[n] = residual
-        out = SeriesTable(order_m=self.order_m, order_n=self.order_n, y_mode=self.y_mode)
-        for n, col in log_cols.items():
-            for m, v in enumerate(col):
-                if v:
-                    out.coefficients[(m, n)] = v
-        return out
-
-
 def egf_log_check(alpha_table, omega_table, convention, order_x, order_y):
     """True iff the connected table is the series logarithm of the plain
     table, coefficientwise, under the convention's normalization.
@@ -206,19 +145,44 @@ def egf_log_check(alpha_table, omega_table, convention, order_x, order_y):
 
 
 def first_egf_mismatch(alpha_table, omega_table, convention, order_x, order_y):
-    """First (m, n) where the log identity fails, or None if it holds."""
-    y_mode = "egf" if convention in (1, 2) else "ogf"
-    series = SeriesTable(order_m=order_y, order_n=order_x, y_mode=y_mode)
-    for m in range(order_y + 1):
+    """First cell (m, n), scanning n then m, where the log identity fails,
+    or None if it holds.
+
+    Both tables are read as series, exponential in the vertex variable and,
+    in the edge variable, exponential for conventions 1-2 but ordinary for
+    conventions 3-4.  The logarithm l of the plain table a along the vertex
+    variable is then, in integers only,
+
+        l(m, n) = a(m, n) - sum_{j=1..n-1} C(n-1, j-1)
+                  sum_{i=0..m} w(m, i) l(i, j) a(m-i, n-j)
+
+    with w(m, i) = C(m, i) for conventions 1-2 and 1 for 3-4.  This is the
+    reference the connected tables are checked against, so it is written
+    out here and shares nothing with `connected_count`.  The constant
+    column a(., 0) must be the series unit (1 at m = 0, else 0).
+    """
+    rows = range(order_y + 1)
+    for m in rows:
         for n in range(order_x + 1):
             if (m, n) not in alpha_table:
                 raise InsufficientTableDepthError(f"alpha table missing ({m}, {n})")
-            series.coefficients[(m, n)] = alpha_table[(m, n)]
-    log_series = series.log_x()
+    a = [[alpha_table[(m, n)] for m in rows] for n in range(order_x + 1)]
+    if a[0][0] != 1 or any(a[0][1:]):
+        raise InsufficientTableDepthError("constant column is not the series unit")
+    weights = [[binom(m, i) if convention in (1, 2) else 1 for i in range(m + 1)] for m in rows]
+    log = [None]
     for n in range(1, order_x + 1):
-        for m in range(order_y + 1):
+        log.append([])
+        for m in rows:
+            value = a[n][m]
+            for j in range(1, n):
+                l_j, a_rest = log[j], a[n - j]
+                value -= binom(n - 1, j - 1) * sum(
+                    w * l_j[i] * a_rest[m - i] for i, w in enumerate(weights[m])
+                )
+            log[n].append(value)
             if (m, n) not in omega_table:
                 raise InsufficientTableDepthError(f"omega table missing ({m}, {n})")
-            if log_series.coeff(m, n) != omega_table[(m, n)]:
+            if value != omega_table[(m, n)]:
                 return (m, n)
     return None

@@ -1,5 +1,7 @@
 import json
 import pathlib
+from dataclasses import replace
+from math import factorial
 
 import pytest
 
@@ -221,7 +223,10 @@ def test_every_formula_class_evaluates():
 
 def test_manifest_matches_shipped_file():
     shipped = pathlib.Path(__file__).resolve().parents[1] / "catalog_manifest.json"
-    assert shipped.exists(), "regenerate with: python3 -m t0enum.catalog.registry catalog_manifest.json"
+    assert shipped.exists(), (
+        "regenerate with: python3 -c \"from t0enum.catalog import write_manifest;"
+        " write_manifest('catalog_manifest.json')\""
+    )
     assert json.loads(shipped.read_text()) == json.loads(json.dumps(manifest()))
 
 
@@ -262,3 +267,50 @@ def test_bounded_completion_sizes_stop_at_the_free_vertices():
     # no completion has more than the n - m free vertices; the size set once
     # held all k sizes, so a huge k built a huge set
     assert F.bar_theta_star_21(2, 3, 10**12) == F.bar_theta_star_21(2, 3, 2) == 6
+
+
+def test_every_k_class_verifies_at_k_zero():
+    # k = 0 is exact-0 uniformity: every edge is empty, and the connected
+    # fixed-size classes keep only a single vertex; the as-printed classes
+    # keep their literal text
+    for cid in catalog.formula_class_ids():
+        entry = resolve_class(cid)
+        if not entry.needs_k or entry.kind == "as-printed":
+            continue
+        m_max = 5 if entry.convention in (3, 4) else 4
+        report = verify_grid(cid, m_max, 4, k=0)
+        assert report.cells_checked == m_max * 4, cid
+        assert report.errata == [], cid
+
+
+def _own_formula_entries():
+    # entries whose value is the formula's own: not as printed, not checked
+    # by a custom oracle and reading no oracle column
+    for cid in catalog.formula_class_ids():
+        entry = resolve_class(cid)
+        if entry.kind != "as-printed" and entry.custom_oracle is None and not entry.oracle_backed:
+            yield entry
+
+
+def test_distinct_rows_ordered_is_m_factorial_times_unordered_beyond_the_grid():
+    # m distinct edges have m! orders, whatever the property, so convention 1
+    # is m! times convention 3 of the same spec.  Pairs are found by spec
+    # equality, per k, so a new class joins by itself; m, n <= 12 reaches
+    # far past the oracle's grid.
+    by_spec = {}
+    for entry in _own_formula_entries():
+        for k in (1, 2, 3) if entry.needs_k else (None,):
+            by_spec.setdefault(entry.class_spec(k), []).append((entry, k))
+    pairs = 0
+    for spec, entries in by_spec.items():
+        if spec.row_convention != 1:
+            continue
+        for ordered, k in entries:
+            for unordered, _ in by_spec.get(replace(spec, row_convention=3), []):
+                pairs += 1
+                for m in range(1, 13):
+                    for n in range(1, 13):
+                        assert ordered.evaluate(m, n, k=k) == factorial(m) * unordered.evaluate(m, n, k=k), (
+                            ordered.class_id, unordered.class_id, m, n, k
+                        )
+    assert pairs >= 70

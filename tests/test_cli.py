@@ -134,6 +134,20 @@ def test_verify_emits_errata_file(tmp_path):
     assert all(r["formula_value"] != r["oracle_value"] for r in records)
 
 
+def test_unwritable_errata_path_is_bad_args_before_any_cell(tmp_path, monkeypatch, capsys):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the errata file was opened")
+
+    monkeypatch.setattr("t0enum.cli.verify_grid", no_cell)
+    code, text = run_cli(
+        "verify", "--class", "theta_01", "--k", "2", "--m-max", "2", "--n-max", "2",
+        "--emit-errata", str(tmp_path / "missing" / "x.jsonl"),
+    )
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_verify_all_coverage_counter():
     code, text = run_cli("verify", "--all", "--m-max", "2", "--n-max", "2", "--k", "1")
     counter_line = [l for l in text.splitlines() if l.startswith("# classes checked:")][0]

@@ -277,6 +277,10 @@ def test_egf_log_check_negative_control_and_depth():
     assert first_egf_mismatch(alpha_table, omega_table, 2, 5, 5) == (3, 2)
     with pytest.raises(InsufficientTableDepthError):
         egf_log_check({(0, 0): 1}, omega_table, 2, 5, 5)
+    # a complete plain table whose constant column is not the unit
+    alpha_table[(1, 0)] = 1
+    with pytest.raises(InsufficientTableDepthError, match="not the series unit"):
+        egf_log_check(alpha_table, omega_table, 2, 5, 5)
 
 
 def test_transform_commutation_on_regular_tables():
