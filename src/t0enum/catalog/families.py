@@ -27,6 +27,7 @@ from ..exactmath import (
 from ..transforms import (
     connected_count,
     cover_transform,
+    order_factor,
     partition_type_sum,
     t0_transform,
 )
@@ -443,23 +444,16 @@ def bbar_theta_circ_13(m, n):
     return sum((-1) ** i * binom(n, i) * bbar_theta_circ_03(m, n - i) for i in range(n + 1))
 
 
-def _exact_quotient(a, b):
-    q, r = divmod(a, b)
-    if r:
-        raise ValueError("expected exact division in dual transfer")
-    return q
-
-
 def bar_beta_star_13(m, n):
     """Unordered distinct-column double covers without empty edges (every
     vertex in exactly two edges), transferred from the graph count by the
     transpose bijection."""
-    return _exact_quotient(factorial(n) * bar_theta_circ_13(n, m), factorial(m))
+    return order_factor(factorial(n) * bar_theta_circ_13(n, m), m, "to_unordered")
 
 
 def bbar_beta_star_13(m, n):
     """Bounded variant: every vertex in one or two edges."""
-    return _exact_quotient(factorial(n) * bbar_theta_circ_13(n, m), factorial(m))
+    return order_factor(factorial(n) * bbar_theta_circ_13(n, m), m, "to_unordered")
 
 
 # ---------------------------------------------------------------------------

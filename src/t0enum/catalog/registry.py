@@ -379,12 +379,11 @@ for _cid, _reference, _formula, _conv, _flags in (
 # graphs without isolated-edge components (fixed k = 2) and their dual covers
 
 def _graph_component_count(loops, require_cover, m, n, k, budget):
-    """Count m-edge-subset graphs on n vertices, optionally with loops,
-    without any isolated pure pair edge (a 2-edge both of whose endpoints
-    have no other incident edge).
-
-    That is the obstruction dual to equal incidence columns; for loop-free
-    graphs it coincides with forbidding connectedness components of size 2.
+    """Count m-edge-subset graphs on n vertices, optionally with loops, whose
+    nonzero incidence columns are pairwise distinct, with no zero column if
+    a cover is required.  For distinct edges of size 1 or 2, two covered
+    vertices have equal columns exactly when they form an isolated pure
+    pair: a 2-edge whose endpoints lie in no other edge.
     The walk runs over the C(E, m) sets of m of the E possible edges, each
     edge an n-bit code, and the budget prices it as it prices every oracle
     walk: n <= max_cells, at most 2**max_cells leaves, and at most max_cells
@@ -402,25 +401,15 @@ def _graph_component_count(loops, require_cover, m, n, k, budget):
         budget.check_size(m, "m", m, n)
     total = 0
     for chosen in combinations(edges, m):
-        covered = 0
-        degree = [0] * n
-        for e in chosen:
-            covered |= e
-            b = e
-            while b:
-                degree[(b & -b).bit_length() - 1] += 1
-                b &= b - 1
-        if require_cover and covered != (1 << n) - 1:
+        columns = [0] * n
+        for i, e in enumerate(chosen):
+            while e:
+                columns[(e & -e).bit_length() - 1] |= 1 << i
+                e &= e - 1
+        if require_cover and 0 in columns:
             continue
-        pure_pair = any(
-            e.bit_count() == 2
-            and degree[(e & -e).bit_length() - 1] == 1
-            and degree[(e ^ (e & -e)).bit_length() - 1] == 1
-            for e in chosen
-        )
-        if pure_pair:
-            continue
-        total += 1
+        nonzero = [c for c in columns if c]
+        total += len(set(nonzero)) == len(nonzero)
     return total
 
 

@@ -1,14 +1,15 @@
 """Command-line surface.
 
-Exit codes are a contract for CI gating:
-  0 success / verified, 1 formula-vs-oracle mismatch, 2 bad arguments,
-  3 unknown class (or one that has no formula where one is needed),
-  4 budget exceeded (an oracle walk over the cap: more than max_cells
-  codes or bits per leaf, or more than 2**max_cells leaves; a
+Exit codes are a contract for CI gating.  `main` alone maps an exception
+to one, and prints it as one `error:` line (exit 5 prints its traceback):
+  0 success / verified, 1 formula-vs-oracle mismatch, 2 bad arguments
+  (argparse checks every value: a usage line, then the error), 3 unknown
+  class (or one that has no formula where one is needed), 4 budget exceeded
+  (always a BudgetExceededError: an oracle walk over the cap, a
   partition-type sum over exactmath.MAX_PARTITION_TYPE_N, a completion
   count over families.MAX_COMPLETION_TUPLES, or a verify grid whose every
-  cell was over budget), 5 internal error (an uncaught
-  exception; traceback on stderr).
+  cell was over budget), 5 internal error (an uncaught exception;
+  traceback on stderr).
 """
 
 import argparse
@@ -35,9 +36,7 @@ MAX_EGF_ORDER = 6
 
 
 class CliError(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+    """A bad argument that argparse cannot see; exits 2."""
 
 
 def _parse_range(text):
@@ -49,21 +48,26 @@ def _parse_range(text):
         else:
             lo = hi = int(text)
     except ValueError:
-        raise CliError(EXIT_BAD_ARGS, f"bad range {text!r}; expected LO..HI")
+        raise argparse.ArgumentTypeError(f"bad range {text!r}; expected LO..HI")
     if lo < 1 or hi < lo:
-        raise CliError(EXIT_BAD_ARGS, f"bad range {text!r}; needs 1 <= LO <= HI")
+        raise argparse.ArgumentTypeError(f"bad range {text!r}; needs 1 <= LO <= HI")
     return range(lo, hi + 1)
 
 
-def _size_parameter(text):
-    """--k: an integer k >= 0 (k = 0 is exact-0 uniformity, not a no-op)."""
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if k < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
-    return k
+def _int_in(lo, hi=None):
+    """An argparse type: an integer in lo..hi, or >= lo when hi is None."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < lo or (hi is not None and value > hi):
+            bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return parse
 
 
 def _budget_from_args(args):
@@ -73,38 +77,26 @@ def _budget_from_args(args):
     try:
         return OracleBudget(max_cells=int(max_cells))
     except ValueError as exc:
-        raise CliError(EXIT_BAD_ARGS, f"bad budget: {exc}")
+        raise CliError(f"bad budget: {exc}")
 
 
-def _resolve(class_id):
-    try:
-        return catalog.resolve_class(class_id)
-    except UnknownClassError:
-        raise CliError(EXIT_UNKNOWN_CLASS, f"unknown class {class_id!r}")
-
-
-_ORACLE_ONLY = "oracle-only class; use oracle command"
-
-
-def _entry_formula_value(entry, m, n, k, errata_corrected, budget):
-    try:
-        return entry.evaluate(m, n, k=k, errata_corrected=errata_corrected, budget=budget)
-    except OracleOnlyClassError:
-        raise CliError(EXIT_UNKNOWN_CLASS, _ORACLE_ONLY)
-    except MissingParameterError:
-        raise CliError(EXIT_BAD_ARGS, f"class {entry.class_id} needs --k")
+def _resolve_with_k(class_id, k):
+    """The entry of class_id; one that takes k needs it before any cell
+    runs, even if none would (sequence --limit 0) or it has no formula."""
+    entry = catalog.resolve_class(class_id)
+    if entry.needs_k and k is None:
+        raise MissingParameterError(f"{class_id} needs k")
+    return entry
 
 
 def cmd_table(args, out):
-    m_range, n_range, k = _parse_range(args.m), _parse_range(args.n), args.k
-    entry = _resolve(args.class_id)
-    if entry.needs_k and k is None:
-        raise CliError(EXIT_BAD_ARGS, f"class {args.class_id} needs --k")
+    m_range, n_range, k = args.m, args.n, args.k
+    entry = _resolve_with_k(args.class_id, k)
     budget = _budget_from_args(args)
     grid = {}
     for m in m_range:
         for n in n_range:
-            grid[(m, n)] = _entry_formula_value(entry, m, n, k, args.errata_corrected, budget)
+            grid[(m, n)] = entry.evaluate(m, n, k=k, errata_corrected=args.errata_corrected, budget=budget)
     k_note = "" if k is None else f" k={k}"
     if args.format == "json":
         payload = {
@@ -128,16 +120,8 @@ def cmd_table(args, out):
 
 
 def cmd_oracle(args, out):
-    if min(args.m, args.n) < 1:
-        raise CliError(EXIT_BAD_ARGS, "--m and --n must be >= 1")
-    entry = _resolve(args.class_id)
-    budget = _budget_from_args(args)
-    try:
-        value = entry.oracle_count(args.m, args.n, k=args.k, budget=budget)
-    except MissingParameterError:
-        raise CliError(EXIT_BAD_ARGS, f"class {args.class_id} needs --k")
-    except BudgetExceededError as exc:
-        raise CliError(EXIT_BUDGET, f"budget exceeded: {exc}")
+    entry = catalog.resolve_class(args.class_id)
+    value = entry.oracle_count(args.m, args.n, k=args.k, budget=_budget_from_args(args))
     out.write(f"{value}\n")
     return EXIT_OK
 
@@ -165,27 +149,25 @@ def _verify_one(entry, m_max, n_max, k, budget, errata_corrected, out):
 
 def cmd_verify(args, out):
     budget = _budget_from_args(args)
-    if min(args.m_max, args.n_max) < 1 or (args.m_max_unordered is not None and args.m_max_unordered < 1):
-        raise CliError(EXIT_BAD_ARGS, "--m-max, --n-max and --m-max-unordered must be >= 1")
     if args.all:
         ids = catalog.formula_class_ids()
     elif args.class_id:
-        if not _resolve(args.class_id).has_formula:
-            raise CliError(EXIT_UNKNOWN_CLASS, _ORACLE_ONLY)
+        if not catalog.resolve_class(args.class_id).has_formula:
+            raise OracleOnlyClassError(f"{args.class_id} is oracle-only")
         ids = [args.class_id]
     else:
-        raise CliError(EXIT_BAD_ARGS, "need --class or --all")
+        raise CliError("need --class or --all")
     # the errata file is opened before any cell runs, so a bad path costs nothing
     try:
         errata_out = open(args.emit_errata, "w") if args.emit_errata else contextlib.nullcontext()
     except OSError as exc:
-        raise CliError(EXIT_BAD_ARGS, f"cannot write --emit-errata file: {exc}")
+        raise CliError(f"cannot write --emit-errata file: {exc}")
     all_errata = []
     unchecked_grids = []
     classes_checked = 0
     with errata_out:
         for cid in ids:
-            entry = _resolve(cid)
+            entry = catalog.resolve_class(cid)
             m_max = args.m_max
             if args.all and entry.convention in (3, 4):
                 m_max = args.m_max_unordered or args.m_max + 1
@@ -207,7 +189,7 @@ def cmd_verify(args, out):
         out.write(f"# discrepancies: {len(all_errata)}\n")
         return EXIT_MISMATCH
     if unchecked_grids:
-        raise CliError(EXIT_BUDGET, f"no cell within budget for {', '.join(unchecked_grids)}")
+        raise BudgetExceededError(f"no cell within budget for {', '.join(unchecked_grids)}")
     return EXIT_OK
 
 
@@ -228,30 +210,20 @@ def _row_cells(n_max):
 
 
 def cmd_sequence(args, out):
-    entry = _resolve(args.class_id)
-    if entry.needs_k and args.k is None:
-        raise CliError(EXIT_BAD_ARGS, f"class {args.class_id} needs --k")
-    if args.limit < 0:
-        raise CliError(EXIT_BAD_ARGS, "limit must be >= 0")
-    if args.n_max < 1:
-        raise CliError(EXIT_BAD_ARGS, "--n-max must be >= 1")
+    entry = _resolve_with_k(args.class_id, args.k)
     budget = _budget_from_args(args)
     cells = _antidiagonal_cells() if args.order == "antidiagonal" else _row_cells(args.n_max)
     index = 1
     for m, n in cells:
         if index > args.limit:
             break
-        value = _entry_formula_value(entry, m, n, args.k, args.errata_corrected, budget)
+        value = entry.evaluate(m, n, k=args.k, errata_corrected=args.errata_corrected, budget=budget)
         out.write(f"{index} {value}\n")
         index += 1
     return EXIT_OK
 
 
 def cmd_egf_check(args, out):
-    if not (1 <= args.family <= 4):
-        raise CliError(EXIT_BAD_ARGS, "family must be 1..4")
-    if not (1 <= args.order_x <= MAX_EGF_ORDER and 0 <= args.order_y <= MAX_EGF_ORDER):
-        raise CliError(EXIT_BAD_ARGS, f"need 1 <= --order-x <= {MAX_EGF_ORDER} and 0 <= --order-y <= {MAX_EGF_ORDER}")
     from .catalog import families as F
 
     conv = args.family
@@ -288,46 +260,46 @@ def build_parser():
 
     p = sub.add_parser("table", help="emit a (m, n) grid for a catalog class")
     p.add_argument("--class", dest="class_id", required=True)
-    p.add_argument("--m", required=True, help="inclusive range, e.g. 1..4")
-    p.add_argument("--n", required=True, help="inclusive range, e.g. 1..4")
-    p.add_argument("--k", type=_size_parameter)
+    p.add_argument("--m", type=_parse_range, required=True, help="inclusive range, e.g. 1..4")
+    p.add_argument("--n", type=_parse_range, required=True, help="inclusive range, e.g. 1..4")
+    p.add_argument("--k", type=_int_in(0))
     p.add_argument("--format", choices=("tsv", "csv", "json"), default="tsv")
     p.add_argument("--errata-corrected", action="store_true")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("oracle", help="brute-force count of one cell")
     p.add_argument("--class", dest="class_id", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=_size_parameter)
-    p.add_argument("--max-cells", type=int, help=_MAX_CELLS_HELP)
+    p.add_argument("--m", type=_int_in(1), required=True)
+    p.add_argument("--n", type=_int_in(1), required=True)
+    p.add_argument("--k", type=_int_in(0))
+    p.add_argument("--max-cells", type=_int_in(1), help=_MAX_CELLS_HELP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="compare formulas against the oracle on a grid")
     p.add_argument("--class", dest="class_id")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--m-max-unordered", type=int, help="row cap for multiset conventions (default m-max + 1)")
-    p.add_argument("--k", type=_size_parameter, help="restrict size-parameterized classes to one k (default 1..3)")
+    p.add_argument("--m-max", type=_int_in(1), default=4)
+    p.add_argument("--n-max", type=_int_in(1), default=4)
+    p.add_argument("--m-max-unordered", type=_int_in(1), help="row cap for multiset conventions (default m-max + 1)")
+    p.add_argument("--k", type=_int_in(0), help="restrict size-parameterized classes to one k (default 1..3)")
     p.add_argument("--emit-errata", metavar="PATH", help="write JSONL errata records")
     p.add_argument("--errata-corrected", action="store_true", help="evaluate corrected forms of as-printed classes")
-    p.add_argument("--max-cells", type=int, help=_MAX_CELLS_HELP)
+    p.add_argument("--max-cells", type=_int_in(1), help=_MAX_CELLS_HELP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sequence", help="emit 'index value' lines reading the table linearly")
     p.add_argument("--class", dest="class_id", required=True)
     p.add_argument("--order", choices=("antidiagonal", "row"), default="antidiagonal")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=8, help="row width for --order row")
-    p.add_argument("--k", type=_size_parameter)
+    p.add_argument("--limit", type=_int_in(0), required=True)
+    p.add_argument("--n-max", type=_int_in(1), default=8, help="row width for --order row")
+    p.add_argument("--k", type=_int_in(0))
     p.add_argument("--errata-corrected", action="store_true")
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("egf-check", help="check the connected table is the series log of the plain table")
-    p.add_argument("--family", type=int, required=True, help="row convention 1..4")
-    p.add_argument("--order-x", type=int, default=5)
-    p.add_argument("--order-y", type=int, default=5)
+    p.add_argument("--family", type=_int_in(1, 4), required=True, help="row convention 1..4")
+    p.add_argument("--order-x", type=_int_in(1, MAX_EGF_ORDER), default=5)
+    p.add_argument("--order-y", type=_int_in(0, MAX_EGF_ORDER), default=5)
     p.set_defaults(func=cmd_egf_check)
 
     return parser
@@ -346,13 +318,18 @@ def main(argv=None, out=None):
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args, out)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except BudgetExceededError as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except Exception:
+    except Exception as exc:
+        # the exit-code table: the first row whose class matches wins
+        for kind, code, message in (
+            (CliError, EXIT_BAD_ARGS, "{}"),
+            (UnknownClassError, EXIT_UNKNOWN_CLASS, "unknown class {}"),  # str() of a KeyError quotes it
+            (OracleOnlyClassError, EXIT_UNKNOWN_CLASS, "oracle-only class; use oracle command"),
+            (MissingParameterError, EXIT_BAD_ARGS, "{} (set --k)"),
+            (BudgetExceededError, EXIT_BUDGET, "budget exceeded: {}"),
+        ):
+            if isinstance(exc, kind):
+                print("error: " + message.format(exc), file=sys.stderr)
+                return code
         traceback.print_exc()
         return EXIT_INTERNAL
     finally:

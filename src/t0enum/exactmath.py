@@ -21,7 +21,8 @@ MAX_PARTITION_TYPE_N = 40
 class BudgetExceededError(RuntimeError):
     """A requested computation is outside its budget: an oracle walk over
     `oracle.OracleBudget`, a partition-type sum over MAX_PARTITION_TYPE_N,
-    or a completion count over `catalog.families.MAX_COMPLETION_TUPLES`."""
+    a completion count over `catalog.families.MAX_COMPLETION_TUPLES`, or a
+    `verify` grid none of whose cells is within its budget."""
 
     def __init__(self, message, m=None, n=None):
         super().__init__(message)

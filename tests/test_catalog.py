@@ -292,15 +292,22 @@ def _own_formula_entries():
             yield entry
 
 
+def _own_formula_entries_by_spec():
+    # spec -> [(entry, k)], per k in 1..3, so a new class joins the identity
+    # tests by itself
+    by_spec = {}
+    for entry in _own_formula_entries():
+        for k in (1, 2, 3) if entry.needs_k else (None,):
+            by_spec.setdefault(entry.class_spec(k), []).append((entry, k))
+    return by_spec
+
+
 def test_distinct_rows_ordered_is_m_factorial_times_unordered_beyond_the_grid():
     # m distinct edges have m! orders, whatever the property, so convention 1
     # is m! times convention 3 of the same spec.  Pairs are found by spec
     # equality, per k, so a new class joins by itself; m, n <= 12 reaches
     # far past the oracle's grid.
-    by_spec = {}
-    for entry in _own_formula_entries():
-        for k in (1, 2, 3) if entry.needs_k else (None,):
-            by_spec.setdefault(entry.class_spec(k), []).append((entry, k))
+    by_spec = _own_formula_entries_by_spec()
     pairs = 0
     for spec, entries in by_spec.items():
         if spec.row_convention != 1:
@@ -314,3 +321,49 @@ def test_distinct_rows_ordered_is_m_factorial_times_unordered_beyond_the_grid():
                             ordered.class_id, unordered.class_id, m, n, k
                         )
     assert pairs >= 70
+
+
+def dual_spec(spec):
+    """The spec of the transposed matrices (edges and vertices swapped), or
+    None where the spec language has no dual."""
+    if spec.row_convention > 2 or spec.require_minimal_cover or spec.forbid_singular:
+        return None
+    if any(c and c[0] in ("at_most", "at_most_cover") for c in (spec.uniformity, spec.vertex_degree)):
+        return None
+    # an empty edge leaves a hypergraph connected, an uncovered vertex does
+    # not, and the transpose swaps the two
+    if spec.require_connected and not (spec.require_cover and spec.forbid_empty_edges):
+        return None
+    return ClassSpec(
+        # distinct rows become distinct columns, and back
+        row_convention=1 if spec.require_t0 else 2,
+        require_t0=spec.row_convention == 1,
+        forbid_empty_edges=spec.require_cover,
+        require_cover=spec.forbid_empty_edges,
+        forbid_full_edges=spec.forbid_intersecting,
+        forbid_intersecting=spec.forbid_full_edges,
+        require_connected=spec.require_connected,
+        uniformity=spec.vertex_degree and ("exact", spec.vertex_degree[1]),
+        vertex_degree=spec.uniformity and ("exact_cover", spec.uniformity[1]),
+    )
+
+
+def test_transpose_duality_beyond_the_grid():
+    # the paper's dual hypergraphs: transposing an ordered incidence matrix
+    # is a bijection from the (m, n) cell of a class onto the (n, m) cell of
+    # its dual
+    by_spec = _own_formula_entries_by_spec()
+    pairs = 0
+    for spec, entries in by_spec.items():
+        dual = dual_spec(spec)
+        if dual is None:
+            continue
+        for entry, k in entries:
+            for partner, dual_k in by_spec.get(dual, []):
+                pairs += 1
+                for m in range(1, 13):
+                    for n in range(1, 13):
+                        assert entry.evaluate(m, n, k=k) == partner.evaluate(n, m, k=dual_k), (
+                            entry.class_id, partner.class_id, m, n, k
+                        )
+    assert pairs >= 30

@@ -382,3 +382,27 @@ def test_ordered_cell_beyond_the_former_product_cap_walks_its_columns(monkeypatc
 def test_unordered_cell_beyond_the_former_universe_cap():
     # 2^7 > 64 single-row multisets, once refused by a separate 2^n cap
     assert run_cli("oracle", "--class", "alpha_04", "--m", "1", "--n", "7") == (0, "128\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("sequence --class omega_12 --limit -1", 2),
+        ("egf-check --family 0", 2),
+        ("egf-check --family x", 2),
+        ("table --class alpha_02 --m 1.. --n 1", 2),
+        ("oracle --class alpha_02 --m 2 --n 2 --max-cells x", 2),
+        ("verify", 2),
+        ("oracle --class theta_01 --m 2 --n 2", 2),  # missing --k
+        # a class that takes k needs it even when no cell runs
+        ("sequence --class theta_01 --limit 0", 2),
+        ("verify --class nope", 3),
+        ("sequence --class nope --limit 3", 3),
+        ("sequence --class theta_21 --limit 3 --k 2", 3),  # oracle-only
+        # --all wins over --class
+        ("verify --all --class omega_12 --m-max 1 --n-max 1", 1),
+    ],
+)
+def test_exit_code_contract(argv, code, capsys):
+    assert run_cli(*argv.split())[0] == code
+    assert "Traceback" not in capsys.readouterr().err
