@@ -23,6 +23,7 @@ from ..exactmath import (
     block_union_upto,
     falling,
     selections,
+    stirling2,
 )
 from ..transforms import (
     connected_count,
@@ -30,6 +31,7 @@ from ..transforms import (
     order_factor,
     partition_type_sum,
     t0_transform,
+    vertex_sieve,
 )
 
 # Row tuples `_completion_count` may list.  Every cell of the test suite and
@@ -64,11 +66,7 @@ def bar_alpha(i, conv, m, n):
     index is 2*(i//2); the j = n term makes the one-edge cases come out
     right without special-casing.
     """
-    total = 0
-    for j in range(n + 1):
-        inner = i if j == 0 else 2 * (i // 2)
-        total += (-1) ** j * binom(n, j) * alpha(inner, conv, m, n - j)
-    return total
+    return vertex_sieve(lambda j: alpha(i if j == 0 else 2 * (i // 2), conv, m, n - j), n)
 
 
 def bar_alpha_star(i, conv, m, n):
@@ -93,18 +91,14 @@ def beta(i, conv, m, n):
     else:
         inner_family = bar_alpha
         base = i - 4
-    total = 0
-    for j in range(n + 1):
-        inner = base if j == 0 else base % 2
-        total += (-1) ** j * binom(n, j) * inner_family(inner, conv, m, n - j)
-    return total
+    return vertex_sieve(lambda j: inner_family(base if j == 0 else base % 2, conv, m, n - j), n)
 
 
 def beta_41_closed(m, n):
     """Direct closed form for ordered distinct-row covers with no singular
     vertex: choose the singular columns (2 states each), distinct rows on the
     rest."""
-    return sum((-1) ** i * binom(n, i) * 2**i * falling(2 ** (n - i), m) for i in range(n + 1))
+    return vertex_sieve(lambda i: 2**i * falling(2 ** (n - i), m), n)
 
 
 def _beta_star_conv1(j, m, n):
@@ -141,8 +135,6 @@ def beta_star(i, conv, m, n):
 def mu_01(m, n):
     """Minimal covers: partition a chosen support into the once-covered part
     and give every remaining vertex at least two incident edges."""
-    from ..exactmath import stirling2
-
     if n < m:
         return 0
     return sum(
@@ -159,10 +151,12 @@ def mu_star_01(m, n):
 
 
 def mu_41(m, n):
-    """Minimal covers without a common vertex, by pinning all-one columns."""
-    if n < m or m == 1:
+    """Minimal covers without a common vertex, by pinning all-one columns:
+    two or more edges each keep a private vertex off the pinned ones.  One
+    edge is the full edge, which always has a common vertex."""
+    if m == 1:
         return 0
-    return sum((-1) ** i * binom(n, i) * mu_01(m, n - i) for i in range(n))
+    return vertex_sieve(lambda i: mu_01(m, n - i), n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +172,16 @@ def theta_01(m, n, k):
 
 
 def theta_11(m, n, k):
-    return sum((-1) ** i * binom(n, i) * falling(binom(n - i, k), m) for i in range(n - k + 1))
+    return vertex_sieve(lambda i: falling(binom(n - i, k), m), n)
 
 
 def theta_3plus(j, m, n, k):
     """k-edge classes without a common vertex: pin i common vertices, the
-    rest is the same class with k - i on n - i.  Zero for m = 1 (one k-edge
-    with k >= 1 always has a common vertex).  Empty edges (k = 0) share no
-    vertex, so at k = 0 the class is the inner class."""
+    rest is the same class with k - i on n - i, which is empty for i > k
+    (C(n - i, k - i) = 0).  So one k-edge with k >= 1 sieves to zero, and
+    at k = 0 only the unpinned term is left."""
     inner = {0: theta_01, 1: theta_11}[j]
-    if k == 0:
-        return inner(m, n, 0)
-    if m == 1:
-        return 0
-    return sum((-1) ** i * binom(n, i) * inner(m, n - i, k - i) for i in range(k))
+    return vertex_sieve(lambda i: inner(m, n - i, k - i), n)
 
 
 def bar_theta_01(m, n, k):
@@ -199,29 +189,21 @@ def bar_theta_01(m, n, k):
 
 
 def bar_theta_11(m, n, k):
-    return sum((-1) ** i * binom(n, i) * falling(_cbar(n - i, k), m) for i in range(n))
-
-
-def bar_theta_prime_01(m, n, k):
-    return falling(_cbar(n, k) + 1, m)
-
-
-def bar_theta_prime_11(m, n, k):
-    return sum((-1) ** i * binom(n, i) * falling(_cbar(n - i, k) + 1, m) for i in range(n))
+    return vertex_sieve(lambda i: falling(_cbar(n - i, k), m), n)
 
 
 def bar_theta_3plus(j, m, n, k):
-    """Bounded-edge-size classes without a common vertex.  Pinned common
-    vertices shrink the bound and allow the pinned-only edge, hence the
-    primed inner counts."""
-    if m == 1:
-        return 0
-    plain = {0: bar_theta_01, 1: bar_theta_11}[j]
-    primed = {0: bar_theta_prime_01, 1: bar_theta_prime_11}[j]
-    total = plain(m, n, k)
-    for i in range(1, k):
-        total += (-1) ** i * binom(n, i) * primed(m, n - i, k - i)
-    return total
+    """Bounded-edge-size classes without a common vertex.  An edge through
+    i <= k pinned common vertices adds at most k - i others, or none (the
+    empty completion, one more admissible row); no edge holds i > k.  For
+    the cover column the other n - i vertices are sieved for isolated ones."""
+
+    def edges(i, t):  # through i pinned vertices, with t free ones
+        return falling(_cbar(t, k - i) + (0 < i <= k), m)
+
+    if j == 0:
+        return vertex_sieve(lambda i: edges(i, n - i), n)
+    return vertex_sieve(lambda i: vertex_sieve(lambda l: edges(i, n - i - l), n - i), n)
 
 
 def bar_theta_51_from_21(oracle_21, m, n, k):
@@ -233,7 +215,7 @@ def bar_theta_51_from_21(oracle_21, m, n, k):
     """
     if m == 1:
         return 0
-    return sum((-1) ** i * binom(n, i) * oracle_21(m, n - i, k - i) for i in range(k))
+    return vertex_sieve(lambda i: oracle_21(m, n - i, k - i), n)
 
 
 # ---------------------------------------------------------------------------
@@ -417,43 +399,29 @@ def _pairings(n, k):
     return falling(n, 2 * k) // (2**k * factorial(k))
 
 
-def bar_theta_circ_03(m, n):
+def bar_theta_circ_03(m, n, loops=False):
     """Graphs with m edges on n labelled vertices and no component that is a
-    single disjoint edge, by inclusion-exclusion on such components."""
+    single disjoint edge, by inclusion-exclusion on such components.  With
+    loops, the n one-vertex edges are admitted too (sizes 1 and 2, no
+    repeats)."""
     total = 0
     for k in range(min(n // 2, m) + 1):
-        total += (-1) ** k * _pairings(n, k) * binom(binom(n - 2 * k, 2), m - k)
-    return total
-
-
-def bbar_theta_circ_03(m, n):
-    """Same with loops admitted as edges (sizes 1 and 2, no repeats)."""
-    total = 0
-    for k in range(min(n // 2, m) + 1):
-        slots = (n - 2 * k) + binom(n - 2 * k, 2)
+        rest = n - 2 * k
+        slots = binom(rest, 2) + (rest if loops else 0)
         total += (-1) ** k * _pairings(n, k) * binom(slots, m - k)
     return total
 
 
-def bar_theta_circ_13(m, n):
+def bar_theta_circ_13(m, n, loops=False):
     """Adds the no-isolated-vertex sieve."""
-    return sum((-1) ** i * binom(n, i) * bar_theta_circ_03(m, n - i) for i in range(n + 1))
+    return vertex_sieve(lambda i: bar_theta_circ_03(m, n - i, loops), n)
 
 
-def bbar_theta_circ_13(m, n):
-    return sum((-1) ** i * binom(n, i) * bbar_theta_circ_03(m, n - i) for i in range(n + 1))
-
-
-def bar_beta_star_13(m, n):
+def bar_beta_star_13(m, n, loops=False):
     """Unordered distinct-column double covers without empty edges (every
-    vertex in exactly two edges), transferred from the graph count by the
-    transpose bijection."""
-    return order_factor(factorial(n) * bar_theta_circ_13(n, m), m, "to_unordered")
-
-
-def bbar_beta_star_13(m, n):
-    """Bounded variant: every vertex in one or two edges."""
-    return order_factor(factorial(n) * bbar_theta_circ_13(n, m), m, "to_unordered")
+    vertex in exactly two edges, or with loops in one or two), transferred
+    from the graph count by the transpose bijection."""
+    return order_factor(factorial(n) * bar_theta_circ_13(n, m, loops), m, "to_unordered")
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +478,6 @@ def omega_0(conv, m, n):
     return omega_1(conv, m, n) + _row_copies(conv, m, lambda r: omega_1(conv, r, n))
 
 
-def _covers_with_common_vertex(beta_column, conv, m, n):
-    """A cover with a common vertex is connected; count them by pinning the
-    all-one columns.  beta_column is 0 (plain covers) or 2 (no full edges)."""
-    return -sum((-1) ** i * binom(n, i) * beta(beta_column, conv, m, n - i) for i in range(1, n + 1))
-
-
 @cache
 def omega(i, conv, m, n):
     """All eight connected columns.
@@ -532,10 +494,12 @@ def omega(i, conv, m, n):
         # less those holding a full edge, which connects everything: their
         # other edges form any hypergraph of alpha column i
         return omega(i - 2, conv, m, n) - _row_copies(conv, m, lambda r: alpha(i, conv, r, n))
-    if i in (4, 5):
-        return omega(i - 4, conv, m, n) - _covers_with_common_vertex(0, conv, m, n)
-    if i in (6, 7):
-        return omega(i - 4, conv, m, n) - _covers_with_common_vertex(2, conv, m, n)
+    if 4 <= i <= 7:
+        # less the covers with a common vertex, which are connected and hold
+        # no empty edge: the covers of column c less those with no common
+        # vertex (beta column c + 4)
+        c = 0 if i < 6 else 2
+        return omega(i - 4, conv, m, n) - beta(c, conv, m, n) + beta(c + 4, conv, m, n)
     raise ValueError(f"omega column {i} out of range")
 
 

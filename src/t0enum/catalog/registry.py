@@ -17,6 +17,7 @@ from math import comb
 from ..hypercore import ClassSpec, MissingParameterError
 from ..oracle import DEFAULT_BUDGET
 from ..oracle import count as oracle_count
+from ..transforms import vertex_sieve
 from . import families as F
 
 
@@ -204,9 +205,7 @@ _register(
     "beta_41_as_printed",
     "printed closed form with falling factorial of n - i instead of 2^(n-i)",
     spec=ClassSpec(row_convention=1, forbid_singular=True),
-    formula=lambda m, n: sum(
-        (-1) ** i * F.binom(n, i) * 2**i * F.falling(n - i, m) for i in range(n + 1)
-    ),
+    formula=lambda m, n: vertex_sieve(lambda i: 2**i * F.falling(n - i, m), n),
     corrected_id="beta_41_closed",
 )
 _register(
@@ -413,23 +412,19 @@ def _graph_component_count(loops, require_cover, m, n, k, budget):
     return total
 
 
-for _cid, _reference, _formula, _loops, _cover in (
+for _cid, _reference, _loops, _cover in (
     ("bar_theta_circ_03",
-     "pair-component sieve over graphs: sum (-1)^k pairings * C(C(n-2k,2), m-k)",
-     F.bar_theta_circ_03, False, False),
-    ("bbar_theta_circ_03", "pair-component sieve over graphs with loops admitted",
-     F.bbar_theta_circ_03, True, False),
-    ("bar_theta_circ_13", "isolated-vertex sieve over the pair-component sieve",
-     F.bar_theta_circ_13, False, True),
-    ("bbar_theta_circ_13", "isolated-vertex sieve over the loops variant",
-     F.bbar_theta_circ_13, True, True),
+     "pair-component sieve over graphs: sum (-1)^k pairings * C(C(n-2k,2), m-k)", False, False),
+    ("bbar_theta_circ_03", "pair-component sieve over graphs with loops admitted", True, False),
+    ("bar_theta_circ_13", "isolated-vertex sieve over the pair-component sieve", False, True),
+    ("bbar_theta_circ_13", "isolated-vertex sieve over the loops variant", True, True),
 ):
     _register(
         _cid,
         _reference,
         convention=3,
         custom_oracle=partial(_graph_component_count, _loops, _cover),
-        formula=_formula,
+        formula=partial(F.bar_theta_circ_13 if _cover else F.bar_theta_circ_03, loops=_loops),
     )
 
 _register(
@@ -446,7 +441,7 @@ _register(
     spec=ClassSpec(
         row_convention=3, forbid_empty_edges=True, require_t0=True, vertex_degree=("at_most_cover", 2)
     ),
-    formula=F.bbar_beta_star_13,
+    formula=partial(F.bar_beta_star_13, loops=True),
 )
 
 

@@ -169,8 +169,8 @@ def cmd_verify(args, out):
         for cid in ids:
             entry = catalog.resolve_class(cid)
             m_max = args.m_max
-            if args.all and entry.convention in (3, 4):
-                m_max = args.m_max_unordered or args.m_max + 1
+            if entry.convention in (3, 4):
+                m_max = args.m_max_unordered or args.m_max + (1 if args.all else 0)
             if entry.needs_k:
                 ks = [args.k] if args.k is not None else [1, 2, 3]
             else:
@@ -280,7 +280,8 @@ def build_parser():
     p.add_argument("--all", action="store_true")
     p.add_argument("--m-max", type=_int_in(1), default=4)
     p.add_argument("--n-max", type=_int_in(1), default=4)
-    p.add_argument("--m-max-unordered", type=_int_in(1), help="row cap for multiset conventions (default m-max + 1)")
+    p.add_argument("--m-max-unordered", type=_int_in(1),
+                   help="row cap for unordered conventions (default m-max + 1 with --all, else m-max)")
     p.add_argument("--k", type=_int_in(0), help="restrict size-parameterized classes to one k (default 1..3)")
     p.add_argument("--emit-errata", metavar="PATH", help="write JSONL errata records")
     p.add_argument("--errata-corrected", action="store_true", help="evaluate corrected forms of as-printed classes")

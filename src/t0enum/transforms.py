@@ -1,10 +1,12 @@
 """The transform calculus connecting the catalog families.
 
 All transforms take callables or tables rather than hard-wired classes: the
-same five transforms apply to dozens of classes and the catalog composes
+same few transforms apply to dozens of classes and the catalog composes
 them.  Callbacks close over every variable except the one being summed.
 
 Vocabulary (used across the package):
+  * vertex_sieve        - inclusion-exclusion over i pinned vertices,
+                          sum (-1)^i C(n,i) pinned(i);
   * t0_transform        - signed-Stirling filtration turning plain counts
                           into distinct-column counts, sum s(n,i) a(i);
   * t0_inverse          - its Stirling-second-kind inverse;
@@ -13,11 +15,13 @@ Vocabulary (used across the package):
   * ordered_with_repeats / unordered_with_repeats / order_factor -
                           edge-multiplicity transforms between the four row
                           conventions;
+  * partition_type_sum  - inclusion-exclusion over vertex set partitions;
   * cover_transform     - the shift producing distinct-column cover counts
                           from plain counts of an isolated-vertex-stable
                           property;
   * connected_count     - the connected-component recurrence, the one
-                          double sum of every connected family.
+                          double sum of every connected family;
+  * first_egf_mismatch / egf_log_check - the series-logarithm reference.
 """
 
 from functools import cache
@@ -35,6 +39,18 @@ from .exactmath import (
 
 class InsufficientTableDepthError(ValueError):
     """A series check was asked for orders the tables do not cover."""
+
+
+def vertex_sieve(pinned, n):
+    """sum_{i=0..n} (-1)^i C(n, i) pinned(i), pinned(i) counting the
+    structures with i given vertices isolated (the sieve counts covers) or
+    common to every edge (it counts no-common-vertex classes).  Every term is
+    summed: a pinned count that vanishes says so itself."""
+    total, weight = 0, 1  # weight is (-1)^i C(n, i)
+    for i in range(n + 1):
+        total += weight * pinned(i)
+        weight = -weight * (n - i) // (i + 1)
+    return total
 
 
 def t0_transform(source, n):

@@ -108,11 +108,16 @@ def test_two_cover_examples():
     assert F.bar_beta_star_13(3, 3) == resolve_class("bar_beta_star_13").oracle_count(3, 3)
 
 
-def test_two_cover_against_graph_enumeration():
-    entry = resolve_class("bar_theta_circ_03")
+@pytest.mark.parametrize(
+    "class_id", ["bar_theta_circ_03", "bbar_theta_circ_03", "bar_theta_circ_13", "bbar_theta_circ_13"]
+)
+def test_two_cover_against_graph_enumeration(class_id):
+    # n = 5 lies beyond the verify --all grid, so the loops route is checked
+    # here directly
+    entry = resolve_class(class_id)
     for m in range(1, 6):
         for n in range(1, 6):
-            assert F.bar_theta_circ_03(m, n) == entry.oracle_count(m, n)
+            assert entry.evaluate(m, n) == entry.oracle_count(m, n)
 
 
 def test_omega_examples():

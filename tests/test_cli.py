@@ -1,5 +1,7 @@
 import io
 import json
+import pathlib
+import shlex
 import sys
 import time
 
@@ -406,3 +408,23 @@ def test_unordered_cell_beyond_the_former_universe_cap():
 def test_exit_code_contract(argv, code, capsys):
     assert run_cli(*argv.split())[0] == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_m_max_unordered_applies_to_one_class():
+    code, text = run_cli(
+        "verify", "--class", "omega_13", "--m-max", "2", "--n-max", "2", "--m-max-unordered", "5"
+    )
+    assert code == 0
+    assert text.splitlines()[0] == "ok       omega_13: 10 cells"
+
+
+def test_readme_command_block_exit_codes(tmp_path, monkeypatch):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("t0enum ")]
+    monkeypatch.chdir(tmp_path)
+    assert len(commands) == 8
+    mismatch = "verify --all --m-max 4 --n-max 4 --emit-errata errata.jsonl".split()
+    for argv in commands:
+        assert run_cli(*argv)[0] == (1 if argv == mismatch else 0), argv
+    assert (tmp_path / "errata.jsonl").read_text().strip()

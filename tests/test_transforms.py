@@ -21,6 +21,7 @@ from t0enum.transforms import (
     t0_inverse,
     t0_transform_sets,
     unordered_with_repeats,
+    vertex_sieve,
 )
 from t0enum.catalog import families as F
 
@@ -35,6 +36,18 @@ def test_t0_transform_examples():
     value = t0_transform(lambda i: F.alpha(1, 1, 2, i), 2)
     spec = ClassSpec(row_convention=1, forbid_empty_edges=True, require_t0=True)
     assert value == count(spec, 2, 2)
+
+
+@pytest.mark.parametrize("m", range(7))
+@pytest.mark.parametrize("n", range(7))
+def test_vertex_sieve_counts_covers_among_all_ordered_matrices(m, n):
+    # pinning i isolated vertices leaves 2^(m(n-i)) matrices; every column of
+    # a cover is nonzero, (2^m - 1)^n of them
+    assert vertex_sieve(lambda i: 2 ** (m * (n - i)), n) == (2**m - 1) ** n
+
+
+def test_vertex_sieve_on_no_vertices_is_the_unpinned_term():
+    assert vertex_sieve(lambda i: 1000 + i, 0) == 1000
 
 
 @settings(max_examples=30)
