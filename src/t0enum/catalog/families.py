@@ -5,6 +5,10 @@ property table and row convention j (1 ordered distinct rows, 2 ordered,
 3 unordered distinct, 4 multiset).  A `star` family is the distinct-column
 (separated-vertex) variant of the same class.
 
+The fixed-size families take a keyword-only `bounded` flag: False admits
+edges of size exactly k, True the sizes 1..k of the `bar_`/`bbar_` ids, as
+in `registry._uniform_spec`.  It has no default, so a value has one cache key.
+
 Boundary cells at n = 0 or m = 0 are taken from the natural closed forms
 (`selections` of an empty column universe), which the oracle confirms on
 every reachable cell; no ad-hoc stipulations are hard-coded unless a
@@ -153,57 +157,39 @@ def mu_star_01(m, n):
 def mu_41(m, n):
     """Minimal covers without a common vertex, by pinning all-one columns:
     two or more edges each keep a private vertex off the pinned ones.  One
-    edge is the full edge, which always has a common vertex."""
-    if m == 1:
-        return 0
+    edge is the full edge, which always has a common vertex, and with no
+    edge only the empty vertex set is covered."""
+    if m < 2:
+        return int(m == n == 0)
     return vertex_sieve(lambda i: mu_01(m, n - i), n)
 
 
 # ---------------------------------------------------------------------------
 # fixed edge size k (ordered distinct rows)
 
-def _cbar(t, s):
-    """Number of nonempty subsets of a t-set with at most s elements."""
-    return sum(binom(t, i) for i in range(1, s + 1))
+def _edges(i, t, k, bounded):
+    """Admissible edges through i pinned vertices and any of t free ones:
+    size exactly k, or 1..k when bounded (none is larger than i + t).  Edges
+    on no vertex (i = t = 0) exist only at exact size 0."""
+    return sum(binom(t, size - i) for size in (range(1, min(k, i + t) + 1) if bounded else (k,)))
 
 
-def theta_01(m, n, k):
-    return falling(binom(n, k), m)
+def theta(j, m, n, k, *, bounded):
+    """Column j of the fixed-size classes: 0 all, 1 covers, 3 no common
+    vertex, 4 both.  The no-common-vertex columns pin i common vertices,
+    which every edge holds; the cover columns sieve the other vertices for
+    isolated ones.  With no edge (m = 0) a pinned vertex is not covered."""
 
+    def rows(i, t):  # distinct rows through i pinned vertices, t others
+        if j in (0, 3):
+            return falling(_edges(i, t, k, bounded), m)
+        if i and not m:
+            return 0
+        return vertex_sieve(lambda l: falling(_edges(i, t - l, k, bounded), m), t)
 
-def theta_11(m, n, k):
-    return vertex_sieve(lambda i: falling(binom(n - i, k), m), n)
-
-
-def theta_3plus(j, m, n, k):
-    """k-edge classes without a common vertex: pin i common vertices, the
-    rest is the same class with k - i on n - i, which is empty for i > k
-    (C(n - i, k - i) = 0).  So one k-edge with k >= 1 sieves to zero, and
-    at k = 0 only the unpinned term is left."""
-    inner = {0: theta_01, 1: theta_11}[j]
-    return vertex_sieve(lambda i: inner(m, n - i, k - i), n)
-
-
-def bar_theta_01(m, n, k):
-    return falling(_cbar(n, k), m)
-
-
-def bar_theta_11(m, n, k):
-    return vertex_sieve(lambda i: falling(_cbar(n - i, k), m), n)
-
-
-def bar_theta_3plus(j, m, n, k):
-    """Bounded-edge-size classes without a common vertex.  An edge through
-    i <= k pinned common vertices adds at most k - i others, or none (the
-    empty completion, one more admissible row); no edge holds i > k.  For
-    the cover column the other n - i vertices are sieved for isolated ones."""
-
-    def edges(i, t):  # through i pinned vertices, with t free ones
-        return falling(_cbar(t, k - i) + (0 < i <= k), m)
-
-    if j == 0:
-        return vertex_sieve(lambda i: edges(i, n - i), n)
-    return vertex_sieve(lambda i: vertex_sieve(lambda l: edges(i, n - i - l), n - i), n)
+    if j < 3:
+        return rows(0, n)
+    return vertex_sieve(lambda i: rows(i, n - i), n)
 
 
 def bar_theta_51_from_21(oracle_21, m, n, k):
@@ -223,40 +209,29 @@ def bar_theta_51_from_21(oracle_21, m, n, k):
 # recurrences
 
 @cache
-def theta_star_0(s, m, n, k):
-    """Distinct-column k-uniform counts via the partition-type sum.
+def theta_star_0(s, m, n, k, *, bounded):
+    """Distinct-column counts with edges of size k (sizes 1..k when
+    bounded) via the partition-type sum.
 
-    The callback counts edges as block unions of total size k; at m = 0 the
-    sum collapses to [n = 1] which is exactly the right boundary.
+    The callback counts edges as block unions of total size k (at most k);
+    at m = 0 the sum collapses to [n = 1] which is exactly the right
+    boundary.  At n = 0 the rows choose among the edges on no vertex.
     """
     if n == 0:
-        if m == 0:
-            return 1
-        return selections(s, 1, m) if k == 0 else 0
-    return partition_type_sum(lambda tau: selections(s, block_union_ksets(tau, k), m), n)
+        return selections(s, _edges(0, 0, k, bounded), m)
+    unions = block_union_upto if bounded else block_union_ksets
+    return partition_type_sum(lambda tau: selections(s, unions(tau, k), m), n)
 
 
 @cache
-def bar_theta_star_0(s, m, n, k):
-    """As theta_star_0 for edge sizes 1..k (no empty edges)."""
-    if n == 0:
-        return 1 if m == 0 else 0
-    return partition_type_sum(lambda tau: selections(s, block_union_upto(tau, k), m), n)
-
-
-@cache
-def theta_star_1(s, m, n, k):
+def theta_star_1(s, m, n, k, *, bounded):
     """Cover column: a distinct-column hypergraph has at most one isolated
     vertex, so theta_star_0(n) = theta_star_1(n) + n * theta_star_1(n-1).
-
-    Base n = 0: the empty-width matrix is vacuously a cover; it is k-uniform
-    only for k = 0 (or with no edges at all).
+    The empty-width matrix is vacuously a cover (n = 0).
     """
     if n == 0:
-        if m == 0:
-            return 1
-        return selections(s, 1, m) if k == 0 else 0
-    return theta_star_0(s, m, n, k) - n * theta_star_1(s, m, n - 1, k)
+        return theta_star_0(s, m, 0, k, bounded=bounded)
+    return theta_star_0(s, m, n, k, bounded=bounded) - n * theta_star_1(s, m, n - 1, k, bounded=bounded)
 
 
 @cache
@@ -273,7 +248,7 @@ def theta_star_3(s, m, n, k):
     if k == 0:
         # all edges empty: no common vertex for free; distinct columns force n = 1
         return selections(s, 1, m) if n == 1 else 0
-    return theta_star_0(s, m, n, k) - n * theta_star_3(s, m, n - 1, k - 1)
+    return theta_star_0(s, m, n, k, bounded=False) - n * theta_star_3(s, m, n - 1, k - 1)
 
 
 @cache
@@ -286,14 +261,6 @@ def theta_star_4(s, m, n, k):
     if k == 0:
         return 0
     return theta_star_3(s, m, n, k) - n * theta_star_4(s, m, n - 1, k)
-
-
-@cache
-def bar_theta_star_1(s, m, n, k):
-    """Cover column of the bounded-size family (edges nonempty, size <= k)."""
-    if n == 0:
-        return 1 if m == 0 else 0
-    return bar_theta_star_0(s, m, n, k) - n * bar_theta_star_1(s, m, n - 1, k)
 
 
 def _completion_count(m, t, size_set):
@@ -329,26 +296,21 @@ def _completion_count(m, t, size_set):
     return total
 
 
-def theta_star_21(m, n, k):
-    """Minimal k-uniform distinct-column covers.
+def theta_star_21(m, n, k, *, bounded):
+    """Minimal distinct-column covers with edges of size k (1..k when bounded).
 
     Distinct columns force exactly one private vertex per edge; place the m
     private vertices ([n]_m ways), then complete each edge with k-1 vertices
-    among the rest so that every remaining vertex is covered at least twice
-    and columns stay distinct.
+    (0..k-1 when bounded) among the rest so that every remaining vertex is
+    covered at least twice and columns stay distinct.
     """
-    if m < 1 or n < m or k < 1:
-        return 0
-    return falling(n, m) * _completion_count(m, n - m, {k - 1})
-
-
-def bar_theta_star_21(m, n, k):
-    """Minimal bounded-size distinct-column covers: completions may use any
-    size 0..k-1 (the private vertex already makes every edge nonempty)."""
-    if m < 1 or n < m or k < 1:
+    if m == 0:
+        return int(n == 0)  # with no edge only the empty vertex set is covered
+    if n < m or k < 1:
         return 0
     # no completion has more than the n - m free vertices
-    return falling(n, m) * _completion_count(m, n - m, set(range(min(k, n - m + 1))))
+    sizes = set(range(min(k, n - m + 1))) if bounded else {k - 1}
+    return falling(n, m) * _completion_count(m, n - m, sizes)
 
 
 # --- the column recurrences exactly as printed, for the errata ledger ------
@@ -359,7 +321,7 @@ def theta_star_12_cover_recurrence_as_printed(m, n, k):
     left side is convention 2."""
     if n == 0:
         return 1 if m == 0 else 0
-    return theta_star_0(2, m, n, k) - n * theta_star_1(1, m, n - 1, k)
+    return theta_star_0(2, m, n, k, bounded=False) - n * theta_star_1(1, m, n - 1, k, bounded=False)
 
 
 @cache
@@ -372,7 +334,8 @@ def theta_star_32_intersection_recurrence_as_printed(m, n, k):
         return selections(2, 1, m) if k == 0 else 0
     if k == 0:
         return selections(2, 1, m) if n == 1 else 0
-    return theta_star_0(2, m, n, k) - n * theta_star_32_intersection_recurrence_as_printed(m, n - 1, k)
+    rest = theta_star_32_intersection_recurrence_as_printed(m, n - 1, k)
+    return theta_star_0(2, m, n, k, bounded=False) - n * rest
 
 
 def theta_star_21_minimal_recurrence_as_printed(m, n, k):
@@ -380,14 +343,14 @@ def theta_star_21_minimal_recurrence_as_printed(m, n, k):
     factor is the cover count, which also admits once-covered vertices."""
     if m < 1 or n < m or k < 1:
         return 0
-    return falling(n, m) * theta_star_1(2, m, n - m, k - 1)
+    return falling(n, m) * theta_star_1(2, m, n - m, k - 1, bounded=False)
 
 
 def bar_theta_star_21_minimal_recurrence_as_printed(m, n, k):
     if m < 1 or n < m or k < 1:
         return 0
     return falling(n, m) * sum(
-        binom(m, j) * bar_theta_star_1(2, j, n - m, k - 1) for j in range(1, m + 1)
+        binom(m, j) * theta_star_1(2, j, n - m, k - 1, bounded=True) for j in range(1, m + 1)
     )
 
 
@@ -540,46 +503,26 @@ def omega_star_as_printed(i, conv, m, n):
 # connected fixed-edge-size families, distinct columns
 
 @cache
-def bar_omega_star_0(s, m, n, k):
-    """Connected k-uniform distinct-column hypergraphs.
+def bar_omega_star_0(s, m, n, k, *, bounded):
+    """Connected distinct-column hypergraphs with edges of size k (1..k when
+    bounded).
 
     The component recurrence (`transforms.connected_count`) driven by the
     theta_star tables: theta_star_1(n - 1) of them leave the first vertex in
     no edge (distinct columns make the rest a cover), and theta_star_0 at
     m = 0 is [n = 1], which is the leftover-isolated-vertex boundary the
-    recurrence needs.  At k = 0 every edge is empty, so only a single vertex
-    is connected; the recurrence, whose n = 1 base is the k >= 1 one, is
-    not run there.
+    recurrence needs.  Every hypergraph on one vertex is connected.  At
+    k = 0 no two vertices are, and the recurrence is not run: exact size 0
+    makes every edge empty, in no component, and sizes 1..0 admit none.
     """
-    if k == 0:
-        return selections(s, 1, m) if n == 1 else 0
     if n == 1:
-        if k == 1 and (s in (2, 4) or m == 1):
-            return 1
-        return 0
-    return connected_count(
-        head=theta_star_0(s, m, n, k) - theta_star_1(s, m, n - 1, k),
-        inner=lambda mm, nn: theta_star_0(s, mm, nn, k),
-        connected=lambda i, j: bar_omega_star_0(s, i, j, k),
-        ordered=s in (1, 2), m=m, n=n,
-    )
-
-
-@cache
-def bbar_omega_star_1(s, m, n, k):
-    """Connected bounded-edge-size distinct-column hypergraphs without empty
-    edges (sizes 1..k), by the same recurrence over the bar_theta_star
-    tables.  Sizes 1..k with k = 0 admit no edge."""
+        return theta_star_0(s, m, 1, k, bounded=bounded)
     if k == 0:
         return 0
-    if n == 1:
-        if s in (2, 4) or m == 1:
-            return 1
-        return 0
     return connected_count(
-        head=bar_theta_star_0(s, m, n, k) - bar_theta_star_1(s, m, n - 1, k),
-        inner=lambda mm, nn: bar_theta_star_0(s, mm, nn, k),
-        connected=lambda i, j: bbar_omega_star_1(s, i, j, k),
+        head=theta_star_0(s, m, n, k, bounded=bounded) - theta_star_1(s, m, n - 1, k, bounded=bounded),
+        inner=lambda mm, nn: theta_star_0(s, mm, nn, k, bounded=bounded),
+        connected=lambda i, j: bar_omega_star_0(s, i, j, k, bounded=bounded),
         ordered=s in (1, 2), m=m, n=n,
     )
 
@@ -598,10 +541,10 @@ def bar_omega_star_02_as_printed(m, n, k):
     def theta0_printed(mm, nn):
         if mm == 0:
             return 1
-        return theta_star_0(2, mm, nn, k)
+        return theta_star_0(2, mm, nn, k, bounded=False)
 
     return connected_count(
-        head=theta_star_0(2, m, n, k) - theta_star_1(2, m, n - 1, k),
+        head=theta_star_0(2, m, n, k, bounded=False) - theta_star_1(2, m, n - 1, k, bounded=False),
         inner=theta0_printed,
         connected=lambda i, j: bar_omega_star_02_as_printed(i, j, k),
         ordered=k in (1, 2), m=m, n=n,
@@ -617,8 +560,8 @@ def bbar_omega_star_12_as_printed(m, n, k, connected_with_empties):
     if n == 1:
         return 1
     return connected_count(
-        head=bar_theta_star_0(2, m, n, k) - bar_theta_star_1(2, m, n - 1, k),
-        inner=lambda mm, nn: bar_theta_star_1(2, mm, nn, k),
+        head=theta_star_0(2, m, n, k, bounded=True) - theta_star_1(2, m, n - 1, k, bounded=True),
+        inner=lambda mm, nn: theta_star_1(2, mm, nn, k, bounded=True),
         connected=lambda i, j: connected_with_empties(i, j, k),
         ordered=k in (1, 2), m=m, n=n,
     )

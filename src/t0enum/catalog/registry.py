@@ -253,35 +253,37 @@ def _uniform_spec(conv, k, bounded=False, **flags):
     return ClassSpec(row_convention=conv, uniformity=("exact", k), **flags)
 
 
+# The size flag of a row goes to its spec and to its formula alike: the
+# `bar_`/`bbar_` ids bind the family of their exact twin with bounded=True.
+_EXACT = {"bounded": False}
 _BOUNDED = {"bounded": True}
 
-# ordered distinct rows (convention 1)
-for _cid, _reference, _formula, _flags in (
-    ("theta_01", "[C(n,k)]_m: ordered distinct k-edges", F.theta_01, {}),
-    ("theta_11", "isolated-vertex sieve over [C(n,k)]_m", F.theta_11, _COVER),
-    ("theta_21", "minimal k-uniform covers: no closed form recorded", None, _MINIMAL),
-    ("theta_31", "common-vertex sieve over the k-uniform count",
-     partial(F.theta_3plus, 0), _NO_COMMON),
+# ordered distinct rows (convention 1): column j of `families.theta`
+for _cid, _reference, _column, _size, _flags in (
+    ("theta_01", "[C(n,k)]_m: ordered distinct k-edges", 0, _EXACT, {}),
+    ("theta_11", "isolated-vertex sieve over [C(n,k)]_m", 1, _EXACT, _COVER),
+    ("theta_21", "minimal k-uniform covers: no closed form recorded", None, _EXACT, _MINIMAL),
+    ("theta_31", "common-vertex sieve over the k-uniform count", 3, _EXACT, _NO_COMMON),
     ("theta_41", "common-vertex sieve over the k-uniform cover count",
-     partial(F.theta_3plus, 1), {**_COVER, **_NO_COMMON}),
+     4, _EXACT, {**_COVER, **_NO_COMMON}),
     ("theta_51", "minimal k-uniform covers without common vertex: no closed form recorded",
-     None, {**_MINIMAL, **_NO_COMMON}),
+     None, _EXACT, {**_MINIMAL, **_NO_COMMON}),
     ("bar_theta_01", "[sum_{i<=k} C(n,i)]_m: ordered distinct nonempty small edges",
-     F.bar_theta_01, _BOUNDED),
-    ("bar_theta_11", "isolated-vertex sieve over the bounded-size count",
-     F.bar_theta_11, {**_COVER, **_BOUNDED}),
+     0, _BOUNDED, {}),
+    ("bar_theta_11", "isolated-vertex sieve over the bounded-size count", 1, _BOUNDED, _COVER),
     ("bar_theta_21", "minimal bounded-size covers: no closed form recorded",
-     None, {**_MINIMAL, **_BOUNDED}),
+     None, _BOUNDED, _MINIMAL),
     ("bar_theta_31", "common-vertex sieve with the extra empty-completion row",
-     partial(F.bar_theta_3plus, 0), {**_NO_COMMON, **_BOUNDED}),
+     3, _BOUNDED, _NO_COMMON),
 ):
-    _register(_cid, _reference, spec_for_k=partial(_uniform_spec, 1, **_flags), formula=_formula)
+    _formula = None if _column is None else partial(F.theta, _column, **_size)
+    _register(_cid, _reference, spec_for_k=partial(_uniform_spec, 1, **_size, **_flags), formula=_formula)
 
 _register(
     "bar_theta_41",
     "common-vertex sieve with the extra empty-completion row, cover column",
     spec_for_k=partial(_uniform_spec, 1, bounded=True, **_COVER, **_NO_COMMON),
-    formula=partial(F.bar_theta_3plus, 1),
+    formula=partial(F.theta, 4, bounded=True),
     notes="the printed table shows the same symbol in two cells; this is the cover cell",
 )
 
@@ -307,48 +309,47 @@ _register(
     notes="sieve identity checked with oracle inputs; the minimal column itself has no formula",
 )
 
-# distinct columns over all four row conventions: `{name}{s}` is family(s, m, n, k)
-for _name, _family, _kind, _reference, _flags in (
+# distinct columns over all four row conventions: `{name}{s}` is family(s, m, n, k);
+# the no-common-vertex columns hold exact sizes only and take no size flag
+for _name, _family, _kind, _reference, _size, _flags in (
     ("theta_star_0", F.theta_star_0, "closed-form",
-     "partition-type sum with block-union edge counts", {}),
-    ("bar_theta_star_0", F.bar_theta_star_0, "closed-form",
-     "partition-type sum with bounded block-union edge counts", _BOUNDED),
+     "partition-type sum with block-union edge counts", _EXACT, {}),
+    ("bar_theta_star_0", F.theta_star_0, "closed-form",
+     "partition-type sum with bounded block-union edge counts", _BOUNDED, {}),
     ("theta_star_1", F.theta_star_1, "recurrence",
-     "at-most-one-isolated-vertex recurrence over the plain column", _COVER),
-    ("bar_theta_star_1", F.bar_theta_star_1, "recurrence",
-     "at-most-one-isolated-vertex recurrence over the bounded column", {**_COVER, **_BOUNDED}),
+     "at-most-one-isolated-vertex recurrence over the plain column", _EXACT, _COVER),
+    ("bar_theta_star_1", F.theta_star_1, "recurrence",
+     "at-most-one-isolated-vertex recurrence over the bounded column", _BOUNDED, _COVER),
     ("theta_star_3", F.theta_star_3, "recurrence",
-     "at-most-one-common-vertex recurrence, size parameter dropping by one", _NO_COMMON),
+     "at-most-one-common-vertex recurrence, size parameter dropping by one", {}, _NO_COMMON),
     ("theta_star_4", F.theta_star_4, "recurrence",
-     "isolated-vertex recurrence over the no-common-vertex column", {**_COVER, **_NO_COMMON}),
+     "isolated-vertex recurrence over the no-common-vertex column", {}, {**_COVER, **_NO_COMMON}),
     ("bar_omega_star_0", F.bar_omega_star_0, "recurrence",
-     "component recurrence over the distinct-column k-uniform tables", _CONNECTED),
-    ("bbar_omega_star_1", F.bbar_omega_star_1, "recurrence",
-     "component recurrence over the distinct-column bounded-size tables", {**_CONNECTED, **_BOUNDED}),
+     "component recurrence over the distinct-column k-uniform tables", _EXACT, _CONNECTED),
+    ("bbar_omega_star_1", F.bar_omega_star_0, "recurrence",
+     "component recurrence over the distinct-column bounded-size tables", _BOUNDED, _CONNECTED),
 ):
     for _s in range(1, 5):
         _register(
             f"{_name}{_s}",
             _reference,
             kind=_kind,
-            spec_for_k=partial(_uniform_spec, _s, require_t0=True, **_flags),
-            formula=partial(_family, _s),
+            spec_for_k=partial(_uniform_spec, _s, require_t0=True, **_size, **_flags),
+            formula=partial(_family, _s, **_size),
         )
 
-_register(
-    "theta_star_21",
-    "private-vertex placement times twice-covered completion count",
-    kind="recurrence",
-    spec_for_k=partial(_uniform_spec, 1, require_t0=True, **_MINIMAL),
-    formula=F.theta_star_21,
-)
-_register(
-    "bar_theta_star_21",
-    "private-vertex placement times bounded twice-covered completion count",
-    kind="recurrence",
-    spec_for_k=partial(_uniform_spec, 1, bounded=True, require_t0=True, **_MINIMAL),
-    formula=F.bar_theta_star_21,
-)
+for _cid, _reference, _size in (
+    ("theta_star_21", "private-vertex placement times twice-covered completion count", _EXACT),
+    ("bar_theta_star_21",
+     "private-vertex placement times bounded twice-covered completion count", _BOUNDED),
+):
+    _register(
+        _cid,
+        _reference,
+        kind="recurrence",
+        spec_for_k=partial(_uniform_spec, 1, require_t0=True, **_MINIMAL, **_size),
+        formula=partial(F.theta_star_21, **_size),
+    )
 
 # the column recurrences as printed
 for _cid, _reference, _formula, _conv, _flags in (

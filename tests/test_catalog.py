@@ -1,3 +1,4 @@
+import inspect
 import json
 import pathlib
 from dataclasses import replace
@@ -83,23 +84,23 @@ def test_mu_examples():
 
 
 def test_theta_examples():
-    assert F.theta_01(2, 3, 2) == 6
-    assert F.theta_11(2, 3, 2) == 6
+    assert F.theta(0, 2, 3, 2, bounded=False) == 6
+    assert F.theta(1, 2, 3, 2, bounded=False) == 6
     spec = ClassSpec(row_convention=1, uniformity=("exact", 2), require_cover=True)
-    assert F.theta_11(2, 3, 2) == count(spec, 2, 3)
-    assert F.bar_theta_01(2, 2, 2) == 6  # [C(2,1) + C(2,2)]_2
+    assert F.theta(1, 2, 3, 2, bounded=False) == count(spec, 2, 3)
+    assert F.theta(0, 2, 2, 2, bounded=True) == 6  # [C(2,1) + C(2,2)]_2
 
 
 def test_theta_star_examples():
     spec = ClassSpec(row_convention=2, uniformity=("exact", 2), require_t0=True)
-    assert F.theta_star_0(2, 2, 2, 2) == count(spec, 2, 2)
+    assert F.theta_star_0(2, 2, 2, 2, bounded=False) == count(spec, 2, 2)
     # k = n collapse: single admissible block union
     for s in range(1, 5):
         from t0enum.exactmath import selections
 
-        assert F.theta_star_0(s, 2, 1, 1) == selections(s, 1, 2)
+        assert F.theta_star_0(s, 2, 1, 1, bounded=False) == selections(s, 1, 2)
         spec_kn = ClassSpec(row_convention=s, uniformity=("exact", 2), require_t0=True)
-        assert F.theta_star_0(s, 2, 2, 2) == count(spec_kn, 2, 2)
+        assert F.theta_star_0(s, 2, 2, 2, bounded=False) == count(spec_kn, 2, 2)
 
 
 def test_two_cover_examples():
@@ -149,14 +150,14 @@ def test_omega_12_symmetry():
 
 def test_omega_uniform_star_examples():
     for m in range(1, 5):
-        assert F.bar_omega_star_0(2, m, 1, 1) == 1
+        assert F.bar_omega_star_0(2, m, 1, 1, bounded=False) == 1
     # the one-full-edge column: distinct columns force k = 1
-    assert F.bar_omega_star_0(2, 1, 1, 1) == 1
+    assert F.bar_omega_star_0(2, 1, 1, 1, bounded=False) == 1
     for k in (2, 3):
         spec = ClassSpec(row_convention=2, uniformity=("exact", k), require_connected=True, require_t0=True)
-        assert F.bar_omega_star_0(2, 1, k, k) == count(spec, 1, k) == 0
+        assert F.bar_omega_star_0(2, 1, k, k, bounded=False) == count(spec, 1, k) == 0
     spec = ClassSpec(row_convention=2, uniformity=("exact", 2), require_connected=True, require_t0=True)
-    assert F.bar_omega_star_0(2, 2, 3, 2) == count(spec, 2, 3)
+    assert F.bar_omega_star_0(2, 2, 3, 2, bounded=False) == count(spec, 2, 3)
 
 
 def test_resolve_class():
@@ -271,7 +272,37 @@ def test_connected_as_printed_errata_are_pinned():
 def test_bounded_completion_sizes_stop_at_the_free_vertices():
     # no completion has more than the n - m free vertices; the size set once
     # held all k sizes, so a huge k built a huge set
-    assert F.bar_theta_star_21(2, 3, 10**12) == F.bar_theta_star_21(2, 3, 2) == 6
+    assert F.theta_star_21(2, 3, 10**12, bounded=True) == F.theta_star_21(2, 3, 2, bounded=True) == 6
+
+
+def test_fixed_size_families_without_edges():
+    # with no edge (m = 0) every vertex is isolated and lies in every edge:
+    # only the empty vertex set is a cover or free of a common vertex,
+    # distinct columns leave at most one (empty) column, and one vertex is
+    # connected
+    for n in range(6):
+        assert F.mu_41(0, n) == (n == 0)
+        for bounded in (False, True):
+            for k in range(4):
+                assert F.theta(0, 0, n, k, bounded=bounded) == 1
+                for j in (1, 3, 4):
+                    assert F.theta(j, 0, n, k, bounded=bounded) == (n == 0), (j, n, k, bounded)
+                assert F.theta_star_21(0, n, k, bounded=bounded) == (n == 0)
+                for s in range(1, 5):
+                    assert F.theta_star_0(s, 0, n, k, bounded=bounded) == (n <= 1)
+                    assert F.theta_star_1(s, 0, n, k, bounded=bounded) == (n == 0)
+                    if n >= 1:
+                        assert F.bar_omega_star_0(s, 0, n, k, bounded=bounded) == (n == 1), (s, n, k, bounded)
+
+
+def test_cached_families_take_no_default_arguments():
+    # functools.cache keys f(x) and f(x, flag=False) apart, so a call that
+    # leaves a defaulted argument out would compute and store a value twice
+    cached = [f for f in vars(F).values() if hasattr(f, "cache_info") and f.__module__ == F.__name__]
+    assert len(cached) >= 5
+    for f in cached:
+        for p in inspect.signature(f).parameters.values():
+            assert p.default is p.empty, (f.__name__, p.name)
 
 
 def test_every_k_class_verifies_at_k_zero():
@@ -372,3 +403,25 @@ def test_transpose_duality_beyond_the_grid():
                             entry.class_id, partner.class_id, m, n, k
                         )
     assert pairs >= 30
+
+
+def test_bounded_size_beyond_n_is_no_bound():
+    # an edge on n vertices has at most n of them, so once k >= n the sizes
+    # 1..k admit every nonempty edge: a bounded class equals the
+    # no-empty-edge class of the same spec without the size bound
+    by_spec = _own_formula_entries_by_spec()
+    pairs = 0
+    for spec, entries in by_spec.items():
+        if spec.uniformity != ("at_most", 1):
+            continue
+        for bounded, _ in entries:
+            for unbounded, no_k in by_spec.get(replace(spec, uniformity=None), []):
+                assert no_k is None
+                pairs += 1
+                for m in range(1, 13):
+                    for n in range(1, 13):
+                        for k in (n, n + 2):
+                            assert bounded.evaluate(m, n, k=k) == unbounded.evaluate(m, n), (
+                                bounded.class_id, unbounded.class_id, m, n, k
+                            )
+    assert pairs >= 15
