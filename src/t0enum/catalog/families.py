@@ -80,22 +80,20 @@ def bar_alpha_star(i, conv, m, n):
 # ---------------------------------------------------------------------------
 # covers
 
-def beta(i, conv, m, n):
-    """Cover counts: i in 0..3 are covers with the `alpha` column constraints,
-    i in 4..7 are classes without singular vertices (covers with no common
-    vertex) over the corresponding `bar_alpha` column.
+def _beta_columns(i, conv, m):
+    """The plain counts g(t) and h(t) that `beta` column i sieves: unpinned,
+    and with isolated vertices pinned.  Columns 0..3 read `alpha` column i,
+    4..7 (no singular vertex: covers with no common vertex) `bar_alpha`
+    column i - 4.  Pinning keeps an empty-edge constraint and dissolves a
+    full-edge constraint, so h reads that column mod 2."""
+    family, c = (alpha, i) if i < 4 else (bar_alpha, i - 4)
+    return (lambda t: family(c, conv, m, t)), (lambda t: family(c % 2, conv, m, t))
 
-    Both use the isolated-vertex sieve; pinning j >= 1 zero columns keeps an
-    empty-edge constraint and dissolves a full-edge constraint, so the inner
-    column index is (i mod 2).
-    """
-    if i < 4:
-        inner_family = alpha
-        base = i
-    else:
-        inner_family = bar_alpha
-        base = i - 4
-    return vertex_sieve(lambda j: inner_family(base if j == 0 else base % 2, conv, m, n - j), n)
+
+def beta(i, conv, m, n):
+    """Cover counts by the isolated-vertex sieve over `_beta_columns`."""
+    g, h = _beta_columns(i, conv, m)
+    return vertex_sieve(lambda j: (g if j == 0 else h)(n - j), n)
 
 
 def beta_41_closed(m, n):
@@ -105,32 +103,18 @@ def beta_41_closed(m, n):
     return vertex_sieve(lambda i: 2**i * falling(2 ** (n - i), m), n)
 
 
-def _beta_star_conv1(j, m, n):
-    """Distinct-column covers, ordered distinct rows, via the cover shift and
-    the one-full-row subtraction."""
-    if j == 0:
-        return cover_transform(lambda i: falling(2**i, m), n)
-    if j == 1:
-        return cover_transform(lambda i: falling(2**i - 1, m), n)
-    if j == 2:
-        return _beta_star_conv1(0, m, n) - m * alpha_star(2, 1, m - 1, n)
-    if j == 3:
-        return _beta_star_conv1(1, m, n) - m * alpha_star(3, 1, m - 1, n)
-    raise ValueError(f"beta_star column {j} has no closed form route")
-
-
 def beta_star(i, conv, m, n):
-    """Distinct-column covers.
+    """Distinct-column covers: the signed-Stirling filtration of `beta`,
+    taken term by term.
 
-    Column 0, convention 2 has the product closed form [2^m - 1]_n; the other
-    convention-1 columns come from the cover shift; everything else is the
-    signed-Stirling transform of `beta` (the cover property admits it).
+    beta(t) is the sieve sum_u (-1)^(t-u) C(t, u) h(u) plus the excess
+    g(t) - h(t) of its unpinned term.  Filtering the sieve gives the cover
+    shift of h, since sum_t s(n, t) (-1)^(t-u) C(t, u) = s(n+1, u+1), which
+    follows from [x]_(n+1) = x [x-1]_n.  The excess is zero for columns 0,
+    1, 4 and 5: they forbid no full edge, so pinning dissolves nothing.
     """
-    if i == 0 and conv == 2:
-        return falling(2**m - 1, n)
-    if i < 4 and conv == 1:
-        return _beta_star_conv1(i, m, n)
-    return t0_transform(lambda t: beta(i, conv, m, t), n)
+    g, h = _beta_columns(i, conv, m)
+    return cover_transform(h, n) + t0_transform(lambda t: g(t) - h(t), n)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +417,6 @@ def omega_1(conv, m, n):
 
 
 @cache
-def omega_0(conv, m, n):
-    """Connected hypergraphs with empty edges allowed, by distributing the
-    empty rows; at most one for the distinct-row conventions."""
-    if m == 0:
-        return 1 if n == 1 else 0
-    return omega_1(conv, m, n) + _row_copies(conv, m, lambda r: omega_1(conv, r, n))
-
-
-@cache
 def omega(i, conv, m, n):
     """All eight connected columns.
 
@@ -450,7 +425,10 @@ def omega(i, conv, m, n):
     are exactly the covers with a common vertex).
     """
     if i == 0:
-        return omega_0(conv, m, n)
+        # column 1 plus those with e >= 1 empty rows (one at most when distinct)
+        if m == 0:
+            return 1 if n == 1 else 0
+        return omega_1(conv, m, n) + _row_copies(conv, m, lambda r: omega_1(conv, r, n))
     if i == 1:
         return omega_1(conv, m, n)
     if i in (2, 3):
@@ -515,6 +493,8 @@ def bar_omega_star_0(s, m, n, k, *, bounded):
     k = 0 no two vertices are, and the recurrence is not run: exact size 0
     makes every edge empty, in no component, and sizes 1..0 admit none.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if n == 1:
         return theta_star_0(s, m, 1, k, bounded=bounded)
     if k == 0:

@@ -112,7 +112,6 @@ class MatrixFeatures:
     * cover: no isolated vertex, so an edgeless matrix is not a cover;
     * common_vertex: some vertex lies in every edge, which holds vacuously
       for m = 0 (the intersecting property);
-    * singular: some vertex lies in every edge or in none;
     * t0: every two vertices are separated by some edge;
     * connected: every two vertices are joined by a chain of pairwise
       intersecting edges.  Empty edges merge nothing, an isolated vertex
@@ -126,7 +125,6 @@ class MatrixFeatures:
     full_edge: bool
     cover: bool
     common_vertex: bool
-    singular: bool
     t0: bool
     connected: bool
     minimal: bool
@@ -150,17 +148,14 @@ def _feature_record(rows, n, cols):
     time, and builds a `MatrixFeatures` only once per distinct record."""
     m = len(rows)
     col_set = set(cols)
-    # For m = 0 every column is 0 == full, so both vertex conventions hold.
-    full = (1 << m) - 1
     cover = 0 not in col_set
-    common_vertex = full in col_set
     return (
         len(set(rows)) == m,  # rows_distinct
         0 in rows,  # empty_edge
         (1 << n) - 1 in rows,  # full_edge
         cover,
-        common_vertex,
-        common_vertex or not cover,  # singular
+        # for m = 0 every column is 0, the full column: vacuously common
+        (1 << m) - 1 in col_set,  # common_vertex
         len(col_set) == n,  # t0
         _connected(rows, n, cover),  # connected
         cover and all((1 << i) in col_set for i in range(m)),  # minimal
@@ -204,8 +199,6 @@ def features_satisfy(features, spec):
     if spec.forbid_empty_edges and f.empty_edge:
         return False
     if spec.forbid_full_edges and f.full_edge:
-        return False
-    if spec.forbid_singular and f.singular:
         return False
     if spec.require_cover and not f.cover:
         return False

@@ -102,7 +102,6 @@ def literal_features(rows, n):
         full_edge=vertex_set(n) in rows,
         cover=is_cover(rows, n),
         common_vertex=has_common_vertex(rows, n),
-        singular=has_singular_vertex(rows, n),
         t0=is_t0(rows, n),
         connected=is_connected(rows, n),
         minimal=is_minimal_cover(rows, n),

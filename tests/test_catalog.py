@@ -16,6 +16,7 @@ from t0enum.catalog import (
 )
 from t0enum.hypercore import ClassSpec
 from t0enum.oracle import count, verify_grid
+from t0enum.transforms import t0_transform
 
 
 def test_alpha_examples():
@@ -295,6 +296,16 @@ def test_fixed_size_families_without_edges():
                         assert F.bar_omega_star_0(s, 0, n, k, bounded=bounded) == (n == 1), (s, n, k, bounded)
 
 
+def test_connected_fixed_size_refuses_no_vertex():
+    # the component recurrence needs a first vertex; n = 0 is refused before
+    # any theta_star table is read, as omega_1 refuses it
+    for bounded in (False, True):
+        for k in range(3):
+            for s in range(1, 5):
+                with pytest.raises(ValueError, match="need n >= 1"):
+                    F.bar_omega_star_0(s, 2, 0, k, bounded=bounded)
+
+
 def test_cached_families_take_no_default_arguments():
     # functools.cache keys f(x) and f(x, flag=False) apart, so a call that
     # leaves a defaulted argument out would compute and store a value twice
@@ -425,3 +436,21 @@ def test_bounded_size_beyond_n_is_no_bound():
                                 bounded.class_id, unbounded.class_id, m, n, k
                             )
     assert pairs >= 15
+
+
+def test_beta_star_is_the_filtration_of_beta_beyond_the_grid():
+    # beta_star filters beta's sieve term by term (cover shift plus the
+    # filtered excess); the plain filtration of beta is the reference, for
+    # all 32 (column, convention) pairs far past the oracle's grid
+    for i in range(8):
+        for conv in range(1, 5):
+            for m in range(1, 13):
+                for n in range(1, 13):
+                    plain = t0_transform(lambda t: F.beta(i, conv, m, t), n)
+                    assert F.beta_star(i, conv, m, n) == plain, (i, conv, m, n)
+    # with no edge every vertex is isolated: no vertex set but the empty one
+    # is covered
+    for i in range(4):
+        for conv in range(1, 5):
+            for n in range(1, 7):
+                assert F.beta_star(i, conv, 0, n) == 0, (i, conv, n)
