@@ -318,8 +318,10 @@ def theta_star_32_intersection_recurrence_as_printed(m, n, k):
         return selections(2, 1, m) if k == 0 else 0
     if k == 0:
         return selections(2, 1, m) if n == 1 else 0
-    rest = theta_star_32_intersection_recurrence_as_printed(m, n - 1, k)
-    return theta_star_0(2, m, n, k, bounded=False) - n * rest
+    # read first, so that the partition-type sum refuses a large n before
+    # any recursion
+    plain = theta_star_0(2, m, n, k, bounded=False)
+    return plain - n * theta_star_32_intersection_recurrence_as_printed(m, n - 1, k)
 
 
 def theta_star_21_minimal_recurrence_as_printed(m, n, k):
@@ -531,17 +533,20 @@ def bar_omega_star_02_as_printed(m, n, k):
     )
 
 
-def bbar_omega_star_12_as_printed(m, n, k, connected_with_empties):
+def bbar_omega_star_12_as_printed(m, n, k):
     """Bounded-size connected recurrence read literally: the through-count
     inside the sum is the cover column, the split weight is indexed by the
     size parameter k, and the recursion refers to the empty-edges-allowed
-    connected family (supplied as a callable, normally the oracle since no
-    formula for it is given)."""
+    connected family: t empty rows, in C(i, t) places, spread over the
+    bounded connected column, since an empty edge touches neither
+    connectivity nor distinct columns."""
     if n == 1:
         return 1
     return connected_count(
         head=theta_star_0(2, m, n, k, bounded=True) - theta_star_1(2, m, n - 1, k, bounded=True),
         inner=lambda mm, nn: theta_star_1(2, mm, nn, k, bounded=True),
-        connected=lambda i, j: connected_with_empties(i, j, k),
+        connected=lambda i, j: sum(
+            binom(i, t) * bar_omega_star_0(2, i - t, j, k, bounded=True) for t in range(i + 1)
+        ),
         ordered=k in (1, 2), m=m, n=n,
     )

@@ -11,7 +11,6 @@ evaluator (or at the oracle) through `corrected_id`.
 import json
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import combinations
 from math import comb
 
 from ..hypercore import ClassSpec, MissingParameterError
@@ -36,11 +35,12 @@ class CatalogEntry:
     `formula` takes (m, n), or (m, n, k) when the class needs k; `evaluate`
     picks the call from `needs_k`.  An `oracle_backed` formula reads some
     input column from the oracle, so it also takes the caller's oracle
-    budget as the keyword `budget`.  Three facts are derived rather than
-    stated: `needs_k` is whether `spec_for_k` is set; `convention` is the
-    spec's row convention unless given (only a custom-oracle entry, which has
-    no spec, gives it); `kind` is "oracle-only" without a formula and
-    "as-printed" when `corrected_id` is set, else as given.
+    budget as the keyword `budget`; only `bar_theta_51` is.  Only the two
+    `_03` graph classes, which have no spec, give a `custom_oracle`.  Three
+    facts are derived rather than stated: `needs_k` is whether `spec_for_k`
+    is set; `convention` is the spec's row convention unless given (only a
+    custom-oracle entry gives it); `kind` is "oracle-only" without a formula
+    and "as-printed" when `corrected_id` is set, else as given.
     """
 
     class_id: str
@@ -378,54 +378,32 @@ for _cid, _reference, _formula, _conv, _flags in (
 # ---------------------------------------------------------------------------
 # graphs without isolated-edge components (fixed k = 2) and their dual covers
 
-def _graph_component_count(loops, require_cover, m, n, k, budget):
-    """Count m-edge-subset graphs on n vertices, optionally with loops, whose
-    nonzero incidence columns are pairwise distinct, with no zero column if
-    a cover is required.  For distinct edges of size 1 or 2, two covered
-    vertices have equal columns exactly when they form an isolated pure
-    pair: a 2-edge whose endpoints lie in no other edge.
-    The walk runs over the C(E, m) sets of m of the E possible edges, each
-    edge an n-bit code, and the budget prices it as it prices every oracle
-    walk: n <= max_cells, at most 2**max_cells leaves, and at most max_cells
-    edges per leaf.  The last cap is waived when m >= E, where the walk has
-    at most one leaf: m is not capped by itself, since m > E gives none.
-    """
-    budget.check_size(n, "n", m, n)
-    edges = []
-    if loops:
-        edges.extend(1 << v for v in range(n))
-    edges.extend((1 << u) | (1 << v) for u in range(n) for v in range(u + 1, n))
-    subsets = comb(len(edges), m)
-    budget.check_leaves(subsets, lambda: f"C({len(edges)}, {m}) edge subsets", m, n)
-    if subsets > 1:
-        budget.check_size(m, "m", m, n)
-    total = 0
-    for chosen in combinations(edges, m):
-        columns = [0] * n
-        for i, e in enumerate(chosen):
-            while e:
-                columns[(e & -e).bit_length() - 1] |= 1 << i
-                e &= e - 1
-        if require_cover and 0 in columns:
-            continue
-        nonzero = [c for c in columns if c]
-        total += len(set(nonzero)) == len(nonzero)
-    return total
+def _graph_oracle(spec, m, n, k, budget):
+    """Graphs whose covered vertices have distinct columns: on the j covered
+    vertices the graph is a distinct-column cover.  The largest set of
+    covered vertices is priced first, so an over-budget cell runs no walk."""
+    return sum(comb(n, j) * oracle_count(spec, m, j, budget) for j in range(n, 0, -1))
 
 
-for _cid, _reference, _loops, _cover in (
-    ("bar_theta_circ_03",
-     "pair-component sieve over graphs: sum (-1)^k pairings * C(C(n-2k,2), m-k)", False, False),
-    ("bbar_theta_circ_03", "pair-component sieve over graphs with loops admitted", True, False),
-    ("bar_theta_circ_13", "isolated-vertex sieve over the pair-component sieve", False, True),
-    ("bbar_theta_circ_13", "isolated-vertex sieve over the loops variant", True, True),
+# Loops are the size-1 edges of the bounded sizes 1..2.  A cover column is
+# the distinct-column cover class at k = 2.
+for _name, _loops, _reference_03, _reference_13 in (
+    ("bar_theta_circ", False,
+     "pair-component sieve over graphs: sum (-1)^k pairings * C(C(n-2k,2), m-k)",
+     "isolated-vertex sieve over the pair-component sieve"),
+    ("bbar_theta_circ", True, "pair-component sieve over graphs with loops admitted",
+     "isolated-vertex sieve over the loops variant"),
 ):
+    _cover_spec = _uniform_spec(3, 2, bounded=_loops, require_t0=True, **_COVER)
     _register(
-        _cid,
-        _reference,
+        f"{_name}_03",
+        _reference_03,
         convention=3,
-        custom_oracle=partial(_graph_component_count, _loops, _cover),
-        formula=partial(F.bar_theta_circ_13 if _cover else F.bar_theta_circ_03, loops=_loops),
+        custom_oracle=partial(_graph_oracle, _cover_spec),
+        formula=partial(F.bar_theta_circ_03, loops=_loops),
+    )
+    _register(
+        f"{_name}_13", _reference_13, spec=_cover_spec, formula=partial(F.bar_theta_circ_13, loops=_loops)
     )
 
 _register(
@@ -468,29 +446,12 @@ _register(
 )
 
 
-def _connected_with_empties_oracle(i, j, k, budget):
-    spec = ClassSpec(
-        row_convention=2,
-        require_connected=True,
-        require_t0=True,
-        uniformity=("at_most", k),
-    )
-    return oracle_count(spec, i, j, budget)
-
-
-def _bbar_omega_star_12_as_printed(m, n, k, budget):
-    return F.bbar_omega_star_12_as_printed(
-        m, n, k, connected_with_empties=partial(_connected_with_empties_oracle, budget=budget)
-    )
-
-
 _register(
     "bbar_omega_star_12_as_printed",
     "bounded component recurrence with the cover column inside the sum and the"
     " recursion aimed at the empties-allowed family, read literally",
     spec_for_k=partial(_uniform_spec, 2, bounded=True, require_t0=True, **_CONNECTED),
-    formula=_bbar_omega_star_12_as_printed,
-    oracle_backed=True,
+    formula=F.bbar_omega_star_12_as_printed,
     corrected_id="bbar_omega_star_12",
 )
 

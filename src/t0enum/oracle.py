@@ -51,13 +51,12 @@ from .hypercore import MatrixFeatures, _feature_record, features_satisfy
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """The one enumeration cap, shared by every oracle.  A walk may hold at
-    most max_cells codes of at most max_cells bits per leaf, which bounds
-    the work per leaf and is checked before any binomial is built, and it
-    may have at most 2**max_cells leaves.  A spec oracle walks m codes of n
-    bits or n codes of m bits, so its first cap reads max(m, n) <=
-    max_cells, and it prices the walk `_walk_plan` picks.  The catalog's
-    graph oracle prices its edge subsets with the same two methods."""
+    """The one enumeration cap, shared by every oracle call.  A walk may
+    hold at most max_cells codes of at most max_cells bits per leaf, which
+    bounds the work per leaf and is checked before any binomial is built,
+    and it may have at most 2**max_cells leaves.  A walk takes m codes of n
+    bits or n codes of m bits, so the first cap reads max(m, n) <=
+    max_cells, and the second prices the walk `_walk_plan` picks."""
 
     max_cells: int = 20
 
@@ -66,21 +65,16 @@ class OracleBudget:
             raise ValueError("budget cap out of range: need max_cells >= 1")
 
     def check(self, convention, m, n):
-        self.check_size(max(m, n), "max(m, n)", m, n)
+        if max(m, n) > self.max_cells:
+            raise BudgetExceededError(f"max(m, n) = {max(m, n)} exceeds max_cells = {self.max_cells}", m=m, n=n)
         side, leaves = _walk_plan(_KIND[convention], m, n)
         k, width = (m, n) if side == "rows" else (n, m)
-        self.check_leaves(leaves, lambda: f"C(2**{width} + {k} - 1, {k}) {side[:-1]} multisets", m, n)
-
-    def check_size(self, size, name, m, n):
-        if size > self.max_cells:
-            raise BudgetExceededError(f"{name} = {size} exceeds max_cells = {self.max_cells}", m=m, n=n)
-
-    def check_leaves(self, leaves, what, m, n):
-        # `what()` names the walk and is called only on a refusal.  The count
-        # is compared by bit length and never printed, so a huge cap builds
-        # no power of two and a huge count is never formatted.
+        # The count is compared by bit length and never printed, so a huge
+        # cap builds no power of two and a huge count is never formatted.
         if (leaves - 1).bit_length() > self.max_cells:  # leaves > 2**max_cells
-            raise BudgetExceededError(f"{what()} exceed 2**{self.max_cells}", m=m, n=n)
+            raise BudgetExceededError(
+                f"C(2**{width} + {k} - 1, {k}) {side[:-1]} multisets exceed 2**{self.max_cells}", m=m, n=n
+            )
 
 
 DEFAULT_BUDGET = OracleBudget()

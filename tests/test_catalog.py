@@ -2,7 +2,8 @@ import inspect
 import json
 import pathlib
 from dataclasses import replace
-from math import factorial
+from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
@@ -115,7 +116,9 @@ def test_two_cover_examples():
 )
 def test_two_cover_against_graph_enumeration(class_id):
     # n = 5 lies beyond the verify --all grid, so the loops route is checked
-    # here directly
+    # here directly: a `_13` class against the spec oracle of its
+    # distinct-column covers, a `_03` class against their sum over the sets
+    # of covered vertices
     entry = resolve_class(class_id)
     for m in range(1, 6):
         for n in range(1, 6):
@@ -270,6 +273,21 @@ def test_connected_as_printed_errata_are_pinned():
         assert {(r.m, r.n): r.formula_value for r in report.errata} == cells
 
 
+def test_connected_with_empties_spreads_empty_rows_over_the_bounded_column():
+    # bbar_omega_star_12_as_printed reads the empties-allowed connected
+    # column as t empty rows (C(i, t) places in convention 2) spread over the
+    # bounded connected column: an empty edge touches neither connectivity
+    # nor distinct columns.  The oracle referees that sum.
+    for k in range(4):
+        spec = ClassSpec(row_convention=2, require_connected=True, require_t0=True, uniformity=("at_most", k))
+        for i in range(1, 5):
+            for j in range(1, 5):
+                spread = sum(
+                    comb(i, t) * F.bar_omega_star_0(2, i - t, j, k, bounded=True) for t in range(i + 1)
+                )
+                assert spread == count(spec, i, j), (k, i, j)
+
+
 def test_bounded_completion_sizes_stop_at_the_free_vertices():
     # no completion has more than the n - m free vertices; the size set once
     # held all k sizes, so a huge k built a huge set
@@ -368,6 +386,21 @@ def test_distinct_rows_ordered_is_m_factorial_times_unordered_beyond_the_grid():
                             ordered.class_id, unordered.class_id, m, n, k
                         )
     assert pairs >= 70
+
+
+def test_classes_of_one_spec_agree_beyond_the_grid():
+    # two formulas registered for one spec (per k) count one class, so they
+    # agree everywhere, also far past the oracle's grid
+    pairs = 0
+    for spec, entries in _own_formula_entries_by_spec().items():
+        for (first, k), (second, other_k) in combinations(entries, 2):
+            pairs += 1
+            for m in range(1, 13):
+                for n in range(1, 13):
+                    assert first.evaluate(m, n, k=k) == second.evaluate(m, n, k=other_k), (
+                        first.class_id, second.class_id, m, n, k
+                    )
+    assert pairs >= 3
 
 
 def dual_spec(spec):

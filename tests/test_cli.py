@@ -253,14 +253,20 @@ def test_uncaught_exception_is_internal_error_not_mismatch(argv, monkeypatch, ca
 
 
 def test_partition_type_sum_over_cap_exits_4_at_once(capsys):
-    # the recursive type builder of earlier versions ran out of stack here
-    start = time.perf_counter()
-    code, _ = run_cli("table", "--class", "theta_star_12", "--m", "2", "--n", "1100", "--k", "1")
-    assert code == 4
-    assert time.perf_counter() - start < 1.0
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.startswith("error: budget exceeded:") and err.count("\n") == 1
+    # the recursive type builder of earlier versions ran out of stack on the
+    # first, and the as-printed recurrence, which once recursed n -> n - 1
+    # before it read the sum, on the second
+    for argv in (
+        ("table", "--class", "theta_star_12", "--m", "2", "--n", "1100", "--k", "1"),
+        ("table", "--class", "theta_star_32_as_printed", "--m", "2", "--n", "500", "--k", "2"),
+    ):
+        start = time.perf_counter()
+        code, _ = run_cli(*argv)
+        assert code == 4, argv
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: budget exceeded:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("class_id", ["theta_star_21", "bar_theta_star_21"])
@@ -302,7 +308,8 @@ def test_large_values_are_printed_in_full(argv, value):
         ("oracle", "--class", "omega_12", "--m", "0", "--n", "2"),
         ("oracle", "--class", "omega_12", "--m", "-1", "--n", "2"),
         ("oracle", "--class", "omega_12", "--m", "2", "--n", "-3"),
-        # a custom oracle, which raised ValueError on a negative m
+        # a custom oracle (a sum of spec-oracle counts), which once raised
+        # ValueError on a negative m
         ("oracle", "--class", "bar_theta_circ_03", "--m", "-1", "--n", "2"),
     ],
 )

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 from collections import Counter
@@ -233,8 +234,8 @@ def test_verify_grid_skips_formula_budget_refusal(monkeypatch):
 
 
 def test_verify_budget_reaches_oracle_backed_formulas(monkeypatch):
-    # the formulas that read an input column from the oracle get the verify
-    # budget, not the default one
+    # the one formula that reads an input column from the oracle gets the
+    # verify budget, not the default one
     from t0enum.catalog import registry
 
     seen = []
@@ -248,12 +249,11 @@ def test_verify_budget_reaches_oracle_backed_formulas(monkeypatch):
     budget = OracleBudget(max_cells=12)
     registry.resolve_class("bar_theta_51").evaluate(2, 3, k=1, budget=budget)
     assert seen == [budget]
-    for class_id in ("bar_theta_51", "bbar_omega_star_12_as_printed"):
-        seen.clear()
-        report = verify_grid(class_id, 3, 3, k=2, budget=budget)
-        assert report.cells_checked == 9
-        # each cell's own oracle call, and the formula's
-        assert len(seen) > 9 and all(b is budget for b in seen), class_id
+    seen.clear()
+    report = verify_grid("bar_theta_51", 3, 3, k=2, budget=budget)
+    assert report.cells_checked == 9
+    # each cell's own oracle call, and the formula's
+    assert len(seen) > 9 and all(b is budget for b in seen)
 
 
 def test_verify_budget_above_the_default_checks_oracle_backed_cells():
@@ -285,22 +285,22 @@ def test_default_budget_accepts_the_cells_of_the_former_caps(conventions, m, n):
 @pytest.mark.parametrize(
     "class_id", ["bar_theta_circ_03", "bbar_theta_circ_03", "bar_theta_circ_13", "bbar_theta_circ_13"]
 )
-def test_default_budget_accepts_graph_cells_on_six_vertices(class_id, monkeypatch):
-    # the graph oracle once took any m at n <= 6: the largest walk there is
-    # C(21, 10) = 352,716 edge subsets, and m = 21 edges is the one subset of
-    # all 21 (with loops).  No subset is walked here.
-    from t0enum.catalog import registry
+def test_graph_classes_take_the_spec_budget(class_id, monkeypatch):
+    # the graph classes count through the spec oracle, so they take its
+    # budget: the unordered (6, 5) cell walks C(37, 6) > 2^20 row multisets,
+    # and m = 21 exceeds max_cells.  Both exit 4 before any walk runs, also
+    # before the smaller walks of a `_03` class's sum over covered vertices.
+    from t0enum.cli import main
 
-    monkeypatch.setattr(registry, "combinations", lambda edges, m: iter(()))
-    entry = registry.resolve_class(class_id)
-    assert all(entry.oracle_count(m, 6) == 0 for m in range(1, 25))
-    with pytest.raises(BudgetExceededError, match="n = 21"):
-        entry.oracle_count(1, 21)
-    # 171 edges: C(171, 168) = 818,805 subsets of 168 edges each, a walk of
-    # about 69 s on a 2-core host
-    n = 18 if class_id.startswith("bbar") else 19
-    with pytest.raises(BudgetExceededError, match="m = 168"):
-        entry.oracle_count(168, n)
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(oracle, "_FEATURE_CACHE", {})
+    monkeypatch.setattr(oracle, "_walk_multisets", no_walk)
+    for m, n in ((6, 5), (21, 2)):
+        out = io.StringIO()
+        assert main(["oracle", "--class", class_id, "--m", str(m), "--n", str(n)], out=out) == 4
+        assert out.getvalue() == ""
 
 
 def test_verify_grid_errata_corrected():
