@@ -32,6 +32,7 @@ from ..exactmath import (
 from ..transforms import (
     connected_count,
     cover_transform,
+    kept_row,
     order_factor,
     partition_type_sum,
     t0_transform,
@@ -412,8 +413,8 @@ def omega_1(conv, m, n):
         return selections(conv, 1, m)
     return connected_count(
         head=alpha(1, conv, m, n) - alpha(1, conv, m, n - 1),
-        inner=lambda mm, nn: alpha(1, conv, mm, nn),
-        connected=lambda i, j: omega_1(conv, i, j),
+        inner=lambda mm, nn: kept_row(("alpha_1", conv, mm), lambda t: alpha(1, conv, mm, t), nn),
+        connected=lambda i, nn: kept_row(("omega_1", conv, i), lambda t: omega_1(conv, i, t), nn),
         ordered=conv in (1, 2), m=m, n=n,
     )
 
@@ -503,8 +504,14 @@ def bar_omega_star_0(s, m, n, k, *, bounded):
         return 0
     return connected_count(
         head=theta_star_0(s, m, n, k, bounded=bounded) - theta_star_1(s, m, n - 1, k, bounded=bounded),
-        inner=lambda mm, nn: theta_star_0(s, mm, nn, k, bounded=bounded),
-        connected=lambda i, j: bar_omega_star_0(s, i, j, k, bounded=bounded),
+        inner=lambda mm, nn: kept_row(
+            ("theta_star_0", s, mm, k, bounded),
+            lambda t: theta_star_0(s, mm, t, k, bounded=bounded), nn,
+        ),
+        connected=lambda i, nn: kept_row(
+            ("bar_omega_star_0", s, i, k, bounded),
+            lambda t: bar_omega_star_0(s, i, t, k, bounded=bounded), nn,
+        ),
         ordered=s in (1, 2), m=m, n=n,
     )
 
@@ -520,15 +527,20 @@ def bar_omega_star_02_as_printed(m, n, k):
             return 1
         return 0
 
-    def theta0_printed(mm, nn):
+    def theta0_printed(mm, t):
         if mm == 0:
             return 1
-        return theta_star_0(2, mm, nn, k, bounded=False)
+        return theta_star_0(2, mm, t, k, bounded=False)
 
     return connected_count(
         head=theta_star_0(2, m, n, k, bounded=False) - theta_star_1(2, m, n - 1, k, bounded=False),
-        inner=theta0_printed,
-        connected=lambda i, j: bar_omega_star_02_as_printed(i, j, k),
+        inner=lambda mm, nn: kept_row(
+            ("theta0_printed", mm, k), lambda t: theta0_printed(mm, t), nn
+        ),
+        connected=lambda i, nn: kept_row(
+            ("bar_omega_star_02_as_printed", i, k),
+            lambda t: bar_omega_star_02_as_printed(i, t, k), nn,
+        ),
         ordered=k in (1, 2), m=m, n=n,
     )
 
@@ -542,11 +554,18 @@ def bbar_omega_star_12_as_printed(m, n, k):
     connectivity nor distinct columns."""
     if n == 1:
         return 1
+
+    def with_empties(i, j):
+        return sum(binom(i, t) * bar_omega_star_0(2, i - t, j, k, bounded=True) for t in range(i + 1))
+
     return connected_count(
         head=theta_star_0(2, m, n, k, bounded=True) - theta_star_1(2, m, n - 1, k, bounded=True),
-        inner=lambda mm, nn: theta_star_1(2, mm, nn, k, bounded=True),
-        connected=lambda i, j: sum(
-            binom(i, t) * bar_omega_star_0(2, i - t, j, k, bounded=True) for t in range(i + 1)
+        inner=lambda mm, nn: kept_row(
+            ("theta_star_1", 2, mm, k, True),
+            lambda t: theta_star_1(2, mm, t, k, bounded=True), nn,
+        ),
+        connected=lambda i, nn: kept_row(
+            ("bbar_omega_star_12_with_empties", i, k), lambda j: with_empties(i, j), nn
         ),
         ordered=k in (1, 2), m=m, n=n,
     )

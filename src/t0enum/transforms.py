@@ -20,12 +20,18 @@ Vocabulary (used across the package):
                           from plain counts of an isolated-vertex-stable
                           property;
   * connected_count     - the connected-component recurrence, the one
-                          double sum of every connected family;
+                          double sum of every connected family; it reads
+                          rows, not cells (entry t of a row is the value on
+                          t vertices, entry 0 is unread);
+  * kept_row            - the rows connected_count reads, one list per key
+                          (family and every fixed argument), kept for the
+                          process and extended on demand;
   * first_egf_mismatch / egf_log_check - the series-logarithm reference.
 """
 
 from functools import cache
 from math import factorial
+from operator import mul
 
 from .exactmath import (
     binom,
@@ -128,6 +134,30 @@ def cover_transform(source, n):
     return sum(stirling1(n + 1, i) * source(i - 1) for i in range(1, n + 2))
 
 
+# key -> [None, family(1), family(2), ...]; see kept_row
+_KEPT_ROWS = {}
+
+
+def kept_row(key, family, n):
+    """The row [None, family(1), ..., family(n-1)] kept under key, which
+    names the family and every argument it fixes.
+
+    The list is kept for the process and extended on demand, so it may be
+    longer than n; entry 0 is a placeholder, never computed.  As in
+    `exactmath._extend_triangle`, family(t) is appended only once it has
+    returned, and only if the row is still t long: a family that reads its
+    own row at t - 1 extends nothing twice, and one that raises leaves the
+    row t long.  Callers only read the returned list.
+    """
+    row = _KEPT_ROWS.setdefault(key, [None])
+    while len(row) < n:
+        t = len(row)
+        value = family(t)
+        if len(row) == t:
+            row.append(value)
+    return row
+
+
 def connected_count(head, inner, connected, ordered, m, n):
     """One cell of the connected-component recurrence (the exp-log identity).
 
@@ -139,13 +169,22 @@ def connected_count(head, inner, connected, ordered, m, n):
     j < n vertices: C(n-1, j-1) picks its other vertices and inner counts
     the other m - i edges on the other n - j vertices.  nu(m, i) is C(m, i)
     for ordered rows (which i rows form the component) and 1 otherwise.
-    connected is normally the memoized family itself.
+
+    inner(mm, n) and connected(i, n) return rows, not values: sequences
+    whose entry t is the value on t vertices for 1 <= t < n (entry 0 is
+    never read, and entries past n - 1 are ignored).  The catalog passes
+    `kept_row` rows, keyed by the family, its convention, its edge count
+    and any size parameter and flag.  A cell builds the binomials C(n-1, .)
+    once, reads 2m rows and sums over j in one pass per row pair.
     """
+    weights = [1] * (n - 1)  # C(n-1, j-1) for j = 1..n-1, one Pascal row
+    for j in range(1, n - 1):
+        weights[j] = weights[j - 1] * (n - j) // j
     total = head
     for i in range(1, m + 1):
         nu = binom(m, i) if ordered else 1
-        for j in range(1, n):
-            total -= nu * binom(n - 1, j - 1) * inner(m - i, n - j) * connected(i, j)
+        rest = inner(m - i, n)
+        total -= nu * sum(map(mul, map(mul, weights, connected(i, n)[1:n]), rest[n - 1 : 0 : -1]))
     return total
 
 

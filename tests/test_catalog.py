@@ -1,6 +1,9 @@
 import inspect
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
 from math import comb, factorial
@@ -322,6 +325,42 @@ def test_connected_fixed_size_refuses_no_vertex():
             for s in range(1, 5):
                 with pytest.raises(ValueError, match="need n >= 1"):
                     F.bar_omega_star_0(s, 2, 0, k, bounded=bounded)
+
+
+_EVALUATE_IN_ORDER = """
+import json, sys
+from t0enum.catalog import resolve_class
+values = {}
+for cid, m, n, k in json.loads(sys.argv[1]):
+    values[f"{cid} {m} {n} {k}"] = resolve_class(cid).evaluate(m, n, k)
+print(json.dumps(values, sort_keys=True))
+"""
+
+
+def _evaluate_in_fresh_process(cells):
+    src = pathlib.Path(catalog.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-c", _EVALUATE_IN_ORDER, json.dumps(cells)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_connected_rows_hold_no_order_dependent_state():
+    # the connected recurrences keep rows per family, edge count, k and size
+    # flag; each fresh process fills them in the opposite order
+    omega_12 = [("omega_12", m, n, None) for m in range(1, 13) for n in range(1, 13)]
+    bounded = [
+        (cid, m, n, k)
+        for k in (3, 2)
+        for m in range(1, 7)
+        for n in range(1, 9)
+        for cid in ("bar_omega_star_01", "bbar_omega_star_11")
+    ]
+    forward = _evaluate_in_fresh_process(omega_12 + bounded)
+    assert forward == _evaluate_in_fresh_process(omega_12[::-1] + bounded[::-1])
+    assert len(forward) == len(omega_12) + len(bounded)
 
 
 def test_cached_families_take_no_default_arguments():

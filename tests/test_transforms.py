@@ -14,6 +14,7 @@ from t0enum.transforms import (
     cover_transform,
     egf_log_check,
     first_egf_mismatch,
+    kept_row,
     order_factor,
     ordered_with_repeats,
     partition_type_sum,
@@ -215,11 +216,12 @@ def test_cover_transform():
 
 
 def _omega12_cell(m, n, memo):
-    # one omega_12 cell whose smaller connected values are read from a dict
+    # one omega_12 cell whose smaller connected values are read from a dict,
+    # passed as rows: entry t is the value on t vertices, entry 0 unread
     return connected_count(
         head=selections(2, 2**n - 1, m) - selections(2, 2 ** (n - 1) - 1, m),
-        inner=lambda mm, jj: selections(2, 2**jj - 1, mm),
-        connected=lambda i, j: memo[(i, j)],
+        inner=lambda mm, nn: [None] + [selections(2, 2**t - 1, mm) for t in range(1, nn)],
+        connected=lambda i, nn: [None] + [memo[(i, t)] for t in range(1, nn)],
         ordered=True,
         m=m,
         n=n,
@@ -252,6 +254,35 @@ def test_connected_count_memo_order_independent():
     assert _omega12_cell(3, 3, shuffled) == F.omega_1(2, 3, 3)
 
 
+def test_kept_row_reentrant_family_keeps_indices():
+    # triangular(t) reads its own row at t - 1, and fails once at t = 5
+    key, calls, fail_at = ("triangular", object()), [], {5}
+
+    def triangular(t):
+        calls.append(t)
+        if t in fail_at:
+            raise ArithmeticError(t)
+        return t + (kept_row(key, triangular, t)[t - 1] if t > 1 else 0)
+
+    with pytest.raises(ArithmeticError):
+        kept_row(key, triangular, 9)
+    assert kept_row(key, triangular, 5) == [None, 1, 3, 6, 10]
+    fail_at.clear()
+    assert kept_row(key, triangular, 9) == [None] + [t * (t + 1) // 2 for t in range(1, 9)]
+    assert calls == [1, 2, 3, 4, 5, 5, 6, 7, 8]
+    # a nested call that extends the row past t: the outer value is not
+    # appended a second time
+    key, nested = ("squares", object()), []
+
+    def squares(t):
+        if t == 3 and not nested:
+            nested.append(t)
+            kept_row(key, squares, 5)
+        return t * t
+
+    assert kept_row(key, squares, 7) == [None, 1, 4, 9, 16, 25, 36]
+
+
 def test_component_sum_reconstructs_plain_table():
     # plain count = connected + isolated-first-vertex + component splits
     for conv in (1, 2, 3, 4):
@@ -277,10 +308,12 @@ def test_component_sum_reconstructs_plain_table():
 
 
 def test_egf_log_check_all_conventions():
+    # the exp-log reference shares nothing with connected_count, so it checks
+    # the connected rows past the oracle's grid
     for conv in (1, 2, 3, 4):
-        alpha_table = {(m, n): F.alpha(1, conv, m, n) for m in range(6) for n in range(6)}
-        omega_table = {(m, n): F.omega_1(conv, m, n) for m in range(6) for n in range(1, 6)}
-        assert egf_log_check(alpha_table, omega_table, conv, 5, 5)
+        alpha_table = {(m, n): F.alpha(1, conv, m, n) for m in range(13) for n in range(13)}
+        omega_table = {(m, n): F.omega_1(conv, m, n) for m in range(13) for n in range(1, 13)}
+        assert egf_log_check(alpha_table, omega_table, conv, 12, 12)
 
 
 def test_egf_log_check_negative_control_and_depth():
