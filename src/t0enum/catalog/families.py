@@ -9,6 +9,8 @@ The fixed-size families take a keyword-only `bounded` flag: False admits
 edges of size exactly k, True the sizes 1..k of the `bar_`/`bbar_` ids, as
 in `registry._uniform_spec`.  It has no default, so a value has one cache key.
 
+No family reads the oracle, so the oracle checks every count independently.
+
 Boundary cells at n = 0 or m = 0 are taken from the natural closed forms
 (`selections` of an empty column universe), which the oracle confirms on
 every reachable cell; no ad-hoc stipulations are hard-coded unless a
@@ -27,7 +29,6 @@ from ..exactmath import (
     block_union_upto,
     falling,
     selections,
-    stirling2,
 )
 from ..transforms import (
     connected_count,
@@ -122,14 +123,10 @@ def beta_star(i, conv, m, n):
 # minimal covers (ordered distinct rows only)
 
 def mu_01(m, n):
-    """Minimal covers: partition a chosen support into the once-covered part
-    and give every remaining vertex at least two incident edges."""
-    if n < m:
-        return 0
-    return sum(
-        binom(n, i) * stirling2(i, m) * factorial(m) * (2**m - m - 1) ** (n - i)
-        for i in range(m, n + 1)
-    )
+    """Minimal covers: every edge has a private vertex, so the rows are
+    distinct and the matrix is a sequence of n nonzero column codes that
+    hits each singleton e_1..e_m.  Sieve over the s singletons missed."""
+    return vertex_sieve(lambda s: (2**m - 1 - s) ** n, m)
 
 
 def mu_star_01(m, n):
@@ -140,13 +137,13 @@ def mu_star_01(m, n):
 
 
 def mu_41(m, n):
-    """Minimal covers without a common vertex, by pinning all-one columns:
-    two or more edges each keep a private vertex off the pinned ones.  One
-    edge is the full edge, which always has a common vertex, and with no
-    edge only the empty vertex set is covered."""
+    """Minimal covers without a common vertex: `mu_01`'s sieve without the
+    all-ones code, which for two or more edges is not a singleton.  One edge
+    is the full edge, which always has a common vertex, and with no edge
+    only the empty vertex set is covered."""
     if m < 2:
         return int(m == n == 0)
-    return vertex_sieve(lambda i: mu_01(m, n - i), n)
+    return vertex_sieve(lambda s: (2**m - 2 - s) ** n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -159,34 +156,54 @@ def _edges(i, t, k, bounded):
     return sum(binom(t, size - i) for size in (range(1, min(k, i + t) + 1) if bounded else (k,)))
 
 
+def _singleton_rows(i, t, m, k, bounded):
+    """Ordered m-tuples of edges through i pinned vertices and any of t free
+    ones whose free columns hit each singleton e_1..e_m: `mu_01`'s sieve
+    over the s singletons missed, and within it over the l free columns
+    pinned to one of them.  Such a column is one more pinned vertex of its
+    row: a row with e of them has r(e) = _edges(i + e, t - l) choices, and
+    the s rows share the l columns in l! [z^l] R(z)^s ways, where
+    R(z) = sum_e r(e) z^e / e!.  By the binomial theorem the sum over s,
+    with r(0) for each other row, is (-1)^m l! [z^l] (R(z) - r(0))^m: every
+    row holds one to k - i of the l columns."""
+    total, most = 0, k - i  # most: the pinned columns one row can hold
+    for l in range(m, min(m * most, t) + 1):
+        r = [_edges(i + e, t - l, k, bounded) for e in range(min(l, most) + 1)]
+        power = [1] + [0] * l  # j! [z^j] (R(z) - r(0))^s for j <= l, from s = 0
+        for _ in range(m):
+            power = [
+                sum(binom(j, e) * power[j - e] * r[e] for e in range(1, min(j, most) + 1))
+                for j in range(l + 1)
+            ]
+        total += (-1) ** (l + m) * binom(t, l) * power[l]
+    return total
+
+
 def theta(j, m, n, k, *, bounded):
-    """Column j of the fixed-size classes: 0 all, 1 covers, 3 no common
-    vertex, 4 both.  The no-common-vertex columns pin i common vertices,
-    which every edge holds; the cover columns sieve the other vertices for
-    isolated ones.  With no edge (m = 0) a pinned vertex is not covered."""
+    """Column j of the fixed-size classes: 0 all, 1 covers, 2 minimal
+    covers, and 3, 4, 5 the same without a common vertex.  The
+    no-common-vertex columns pin i common vertices, which every edge holds;
+    the cover columns sieve the other vertices for isolated ones.  With no
+    edge (m = 0) a pinned vertex is not covered, and with one the all-ones
+    column is e_1 itself: the one-edge minimal cover has a common vertex."""
 
     def rows(i, t):  # distinct rows through i pinned vertices, t others
         if j in (0, 3):
             return falling(_edges(i, t, k, bounded), m)
         if i and not m:
             return 0
-        return vertex_sieve(lambda l: falling(_edges(i, t - l, k, bounded), m), t)
+        if j in (1, 4):
+            return vertex_sieve(lambda l: falling(_edges(i, t - l, k, bounded), m), t)
+        if i > k:  # every row would hold more than k vertices
+            return 0
+        # rows that hit every singleton are distinct, as in `mu_01`
+        return vertex_sieve(lambda l: _singleton_rows(i, t - l, m, k, bounded), t)
 
     if j < 3:
         return rows(0, n)
-    return vertex_sieve(lambda i: rows(i, n - i), n)
-
-
-def bar_theta_51_from_21(oracle_21, m, n, k):
-    """Minimal bounded-size covers without a common vertex, sieved from the
-    minimal-cover column (supplied as a callable, normally the oracle).
-
-    Zero for m = 1 like every other no-common-vertex column: a one-edge
-    cover is the full edge, which intersects itself everywhere.
-    """
-    if m == 1:
+    if j == 5 and m == 1:
         return 0
-    return vertex_sieve(lambda i: oracle_21(m, n - i, k - i), n)
+    return vertex_sieve(lambda i: rows(i, n - i), n)
 
 
 # ---------------------------------------------------------------------------

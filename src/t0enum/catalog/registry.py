@@ -5,7 +5,7 @@ the declarative ClassSpec the brute-force oracle enumerates.  `verify_grid`
 walks the two sides cell by cell.  Formulas suspected of being misprinted in
 their source tables are additionally registered `as printed` so the
 disagreement is machine-checkable; their entries point at the corrected
-evaluator (or at the oracle) through `corrected_id`.
+evaluator through `corrected_id`.
 """
 
 import json
@@ -33,12 +33,11 @@ class CatalogEntry:
     """One class id with its formula and the oracle side that checks it.
 
     `formula` takes (m, n), or (m, n, k) when the class needs k; `evaluate`
-    picks the call from `needs_k`.  An `oracle_backed` formula reads some
-    input column from the oracle, so it also takes the caller's oracle
-    budget as the keyword `budget`; only `bar_theta_51` is.  Only the two
-    `_03` graph classes, which have no spec, give a `custom_oracle`.  Three
-    facts are derived rather than stated: `needs_k` is whether `spec_for_k`
-    is set; `convention` is the spec's row convention unless given (only a
+    picks the call from `needs_k`.  No formula reads the oracle, so only
+    `oracle_count` takes an oracle budget.  Only the two `_03` graph
+    classes, which have no spec, give a `custom_oracle`.  Three facts are
+    derived rather than stated: `needs_k` is whether `spec_for_k` is set;
+    `convention` is the spec's row convention unless given (only a
     custom-oracle entry gives it); `kind` is "oracle-only" without a formula
     and "as-printed" when `corrected_id` is set, else as given.
     """
@@ -49,7 +48,6 @@ class CatalogEntry:
     spec: ClassSpec = None
     spec_for_k: object = None  # callable(k) -> ClassSpec
     formula: object = None  # callable(m, n) or, with needs_k, (m, n, k) -> int
-    oracle_backed: bool = False
     custom_oracle: object = None  # callable(m, n, k, budget) -> int
     corrected_id: str = None
     convention_probe: str = None
@@ -82,17 +80,16 @@ class CatalogEntry:
             return self.custom_oracle(m, n, k, budget)
         return oracle_count(self.class_spec(k), m, n, budget)
 
-    def evaluate(self, m, n, k=None, errata_corrected=False, budget=DEFAULT_BUDGET):
+    def evaluate(self, m, n, k=None, errata_corrected=False):
         if errata_corrected and self.corrected_id is not None:
-            return resolve_class(self.corrected_id).evaluate(m, n, k=k, budget=budget)
+            return resolve_class(self.corrected_id).evaluate(m, n, k=k)
         if self.formula is None:
             raise OracleOnlyClassError(f"{self.class_id} is oracle-only")
-        extra = {"budget": budget} if self.oracle_backed else {}
         if not self.needs_k:
-            return self.formula(m, n, **extra)
+            return self.formula(m, n)
         if k is None:
             raise MissingParameterError(f"{self.class_id} needs k")
-        return self.formula(m, n, k, **extra)
+        return self.formula(m, n, k)
 
     @property
     def has_formula(self):
@@ -132,12 +129,8 @@ def classify_discrepancy(entry, m, n, k, formula_value, oracle_value):
         if probe.evaluate(m, n, k=k) == formula_value:
             return "convention-gap"
     if entry.corrected_id is not None:
-        corrected = resolve_class(entry.corrected_id)
-        try:
-            if corrected.evaluate(m, n, k=k) == oracle_value:
-                return "confirmed-typo"
-        except OracleOnlyClassError:
-            pass
+        if resolve_class(entry.corrected_id).evaluate(m, n, k=k) == oracle_value:
+            return "confirmed-typo"
     return "unresolved"
 
 
@@ -275,6 +268,9 @@ for _cid, _reference, _column, _size, _flags in (
      None, _BOUNDED, _MINIMAL),
     ("bar_theta_31", "common-vertex sieve with the extra empty-completion row",
      3, _BOUNDED, _NO_COMMON),
+    ("bar_theta_51",
+     "common-vertex sieve over the private-vertex sieve of minimal bounded-size covers",
+     5, _BOUNDED, {**_MINIMAL, **_NO_COMMON}),
 ):
     _formula = None if _column is None else partial(F.theta, _column, **_size)
     _register(_cid, _reference, spec_for_k=partial(_uniform_spec, 1, **_size, **_flags), formula=_formula)
@@ -285,28 +281,6 @@ _register(
     spec_for_k=partial(_uniform_spec, 1, bounded=True, **_COVER, **_NO_COMMON),
     formula=partial(F.theta, 4, bounded=True),
     notes="the printed table shows the same symbol in two cells; this is the cover cell",
-)
-
-
-def _bar_theta_21_oracle(m, n, k, budget):
-    # a minimal cover needs >= 1 vertex and a positive size bound once m >= 1
-    if n < 1 or k < 1:
-        return 0
-    return oracle_count(_uniform_spec(1, k, bounded=True, **_MINIMAL), m, n, budget)
-
-
-def _bar_theta_51(m, n, k, budget):
-    return F.bar_theta_51_from_21(partial(_bar_theta_21_oracle, budget=budget), m, n, k)
-
-
-_register(
-    "bar_theta_51",
-    "common-vertex sieve over the (oracle-supplied) minimal bounded-size covers",
-    kind="recurrence",
-    spec_for_k=partial(_uniform_spec, 1, bounded=True, **_MINIMAL, **_NO_COMMON),
-    formula=_bar_theta_51,
-    oracle_backed=True,
-    notes="sieve identity checked with oracle inputs; the minimal column itself has no formula",
 )
 
 # distinct columns over all four row conventions: `{name}{s}` is family(s, m, n, k);

@@ -10,6 +10,9 @@ to one, and prints it as one `error:` line (exit 5 prints its traceback):
   count over families.MAX_COMPLETION_TUPLES, or a verify grid whose every
   cell was over budget), 5 internal error (an uncaught exception;
   traceback on stderr).
+
+Only `oracle` and `verify` walk the oracle and take `--max-cells` (or
+T0ENUM_BUDGET_CELLS); `table` and `sequence` meet only the formula caps.
 """
 
 import argparse
@@ -71,9 +74,7 @@ def _int_in(lo, hi=None):
 
 
 def _budget_from_args(args):
-    max_cells = getattr(args, "max_cells", None)
-    if max_cells is None:
-        max_cells = os.environ.get("T0ENUM_BUDGET_CELLS") or OracleBudget.max_cells
+    max_cells = args.max_cells or os.environ.get("T0ENUM_BUDGET_CELLS") or OracleBudget.max_cells
     try:
         return OracleBudget(max_cells=int(max_cells))
     except ValueError as exc:
@@ -92,11 +93,10 @@ def _resolve_with_k(class_id, k):
 def cmd_table(args, out):
     m_range, n_range, k = args.m, args.n, args.k
     entry = _resolve_with_k(args.class_id, k)
-    budget = _budget_from_args(args)
     grid = {}
     for m in m_range:
         for n in n_range:
-            grid[(m, n)] = entry.evaluate(m, n, k=k, errata_corrected=args.errata_corrected, budget=budget)
+            grid[(m, n)] = entry.evaluate(m, n, k=k, errata_corrected=args.errata_corrected)
     k_note = "" if k is None else f" k={k}"
     if args.format == "json":
         payload = {
@@ -211,13 +211,12 @@ def _row_cells(n_max):
 
 def cmd_sequence(args, out):
     entry = _resolve_with_k(args.class_id, args.k)
-    budget = _budget_from_args(args)
     cells = _antidiagonal_cells() if args.order == "antidiagonal" else _row_cells(args.n_max)
     index = 1
     for m, n in cells:
         if index > args.limit:
             break
-        value = entry.evaluate(m, n, k=args.k, errata_corrected=args.errata_corrected, budget=budget)
+        value = entry.evaluate(m, n, k=args.k, errata_corrected=args.errata_corrected)
         out.write(f"{index} {value}\n")
         index += 1
     return EXIT_OK

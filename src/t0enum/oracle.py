@@ -246,10 +246,10 @@ def verify_grid(class_id, m_max, n_max, k=None, budget=DEFAULT_BUDGET, errata_co
     """Evaluate formula and oracle on every in-budget cell of a class.
 
     `class_id` must resolve to a catalog entry carrying both an evaluator and
-    a ClassSpec (or a custom oracle).  The budget bounds both sides: the
-    oracle's cell and the oracle calls of an oracle-backed formula.  Returns
-    a GridReport; one ErrataRecord per disagreement, an empty record list
-    meaning the class verified.
+    a ClassSpec (or a custom oracle).  The budget bounds the oracle side; a
+    formula reads no oracle and refuses a cell only through its own caps.
+    Either refusal skips the cell.  Returns a GridReport; one ErrataRecord
+    per disagreement, an empty record list meaning the class verified.
     """
     from . import catalog
 
@@ -259,9 +259,7 @@ def verify_grid(class_id, m_max, n_max, k=None, budget=DEFAULT_BUDGET, errata_co
         for n in range(1, n_max + 1):
             try:
                 oracle_value = entry.oracle_count(m, n, k=k, budget=budget)
-                formula_value = entry.evaluate(
-                    m, n, k=k, errata_corrected=errata_corrected, budget=budget
-                )
+                formula_value = entry.evaluate(m, n, k=k, errata_corrected=errata_corrected)
             except BudgetExceededError:
                 report.skipped.append((m, n, k))
                 continue

@@ -9,6 +9,7 @@ from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from brute_reference import brute_counts
 
 from t0enum import catalog
 from t0enum.catalog import families as F
@@ -192,12 +193,37 @@ def test_sandwich_inequalities():
 
 
 def test_minimal_cover_saturation():
-    # degree bounds at or above n do not constrain minimal covers
+    # degree bounds at or above n do not constrain minimal covers, and nor
+    # do size bounds: the size-bounded private-vertex sieve meets the
+    # unbounded closed forms far past the oracle's grid
     entry = resolve_class("mu_bar_01")
     for m in range(1, 4):
         for n in range(1, 4):
             for k in range(n, n + 2):
                 assert entry.oracle_count(m, n, k=k) == F.mu_01(m, n)
+    for m in range(1, 7):
+        for n in range(13):
+            for k in (n, n + 1):
+                assert F.theta(2, m, n, k, bounded=True) == F.mu_01(m, n), (m, n, k)
+                assert F.theta(5, m, n, k, bounded=True) == F.mu_41(m, n), (m, n, k)
+
+
+def test_minimal_cover_columns_against_brute_force():
+    # theta columns 2 and 5, both size flags, against the literal counts of
+    # the registered specs, on every cell of at most 2^12 matrices
+    columns = [
+        (cid, column, bounded, k)
+        for cid, column, bounded in (
+            ("theta_21", 2, False), ("theta_51", 5, False),
+            ("bar_theta_21", 2, True), ("bar_theta_51", 5, True),
+        )
+        for k in range(5)
+    ]
+    for m in range(1, 13):
+        for n in range(1, 12 // m + 1):
+            specs = [resolve_class(cid).class_spec(k) for cid, _, _, k in columns]
+            for (cid, column, bounded, k), counts in zip(columns, brute_counts(specs, m, n)):
+                assert F.theta(column, m, n, k, bounded=bounded) == counts[0], (cid, m, n, k)
 
 
 def test_containment_inequalities():
@@ -224,6 +250,11 @@ def test_registered_classes_present():
         "theta_star_12_as_printed", "theta_star_32_as_printed",
     ):
         assert expected in ids
+    # an errata record is classified by evaluating these, so each has a formula
+    for cid in ids:
+        entry = resolve_class(cid)
+        for other in (entry.corrected_id, entry.convention_probe):
+            assert other is None or resolve_class(other).has_formula, (cid, other)
 
 
 def test_every_formula_class_evaluates():
@@ -307,7 +338,7 @@ def test_fixed_size_families_without_edges():
         for bounded in (False, True):
             for k in range(4):
                 assert F.theta(0, 0, n, k, bounded=bounded) == 1
-                for j in (1, 3, 4):
+                for j in range(1, 6):
                     assert F.theta(j, 0, n, k, bounded=bounded) == (n == 0), (j, n, k, bounded)
                 assert F.theta_star_21(0, n, k, bounded=bounded) == (n == 0)
                 for s in range(1, 5):
@@ -388,11 +419,11 @@ def test_every_k_class_verifies_at_k_zero():
 
 
 def _own_formula_entries():
-    # entries whose value is the formula's own: not as printed, not checked
-    # by a custom oracle and reading no oracle column
+    # entries whose value is the formula's own: not as printed and not
+    # checked by a custom oracle
     for cid in catalog.formula_class_ids():
         entry = resolve_class(cid)
-        if entry.kind != "as-printed" and entry.custom_oracle is None and not entry.oracle_backed:
+        if entry.kind != "as-printed" and entry.custom_oracle is None:
             yield entry
 
 

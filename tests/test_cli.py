@@ -76,28 +76,6 @@ def test_oracle_budget_env_override(monkeypatch):
     assert code == 0 and int(text) == 2**6
 
 
-def test_table_budget_env_reaches_oracle_backed_formula(monkeypatch, capsys):
-    # bar_theta_51 reads its minimal-cover column from the oracle; the (2, 3)
-    # cell is within the default budget, but its 20 column multisets exceed
-    # 2^4
-    argv = ("table", "--class", "bar_theta_51", "--m", "2", "--n", "3", "--k", "1")
-    assert run_cli(*argv)[0] == 0
-    monkeypatch.setenv("T0ENUM_BUDGET_CELLS", "4")
-    assert run_cli(*argv)[0] == 4
-    assert "budget exceeded" in capsys.readouterr().err
-
-
-def test_sequence_budget_env_reaches_oracle_backed_formula(monkeypatch, capsys):
-    # the eighth antidiagonal cell is (2, 3)
-    argv = ("sequence", "--class", "bar_theta_51", "--k", "1", "--limit", "8")
-    code, text = run_cli(*argv)
-    assert code == 0 and len(text.splitlines()) == 8
-    monkeypatch.setenv("T0ENUM_BUDGET_CELLS", "4")
-    code, text = run_cli(*argv)
-    assert code == 4 and len(text.splitlines()) == 7
-    assert "budget exceeded" in capsys.readouterr().err
-
-
 def test_oracle_multiset_walk_over_budget_exits_quickly():
     # m and n are within max_cells, but C(72, 9) multisets are not within
     # 2^max_cells: refused before any enumeration
@@ -278,6 +256,16 @@ def test_minimal_cover_completions_beyond_the_column_bound_are_zero_at_once(clas
     assert code == 0
     assert text.splitlines()[2] == "2\t0"
     assert time.perf_counter() - start < 1.0
+
+
+def test_minimal_cover_without_common_vertex_beyond_the_oracle():
+    # the oracle refuses n = 1100, and no formula reads it: two edges of at
+    # most two vertices cover no more than four
+    start = time.perf_counter()
+    code, text = run_cli("table", "--class", "bar_theta_51", "--m", "2", "--n", "1100", "--k", "2")
+    assert code == 0
+    assert text.splitlines()[2] == "2\t0"
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize(

@@ -222,10 +222,10 @@ def test_verify_grid_skips_formula_budget_refusal(monkeypatch):
 
     evaluate = CatalogEntry.evaluate
 
-    def refuse_2_3(self, m, n, k=None, errata_corrected=False, budget=oracle.DEFAULT_BUDGET):
+    def refuse_2_3(self, m, n, k=None, errata_corrected=False):
         if (m, n) == (2, 3):
             raise BudgetExceededError("formula over budget", m=m, n=n)
-        return evaluate(self, m, n, k=k, errata_corrected=errata_corrected, budget=budget)
+        return evaluate(self, m, n, k=k, errata_corrected=errata_corrected)
 
     monkeypatch.setattr(CatalogEntry, "evaluate", refuse_2_3)
     report = verify_grid("alpha_02", 3, 3)
@@ -233,32 +233,9 @@ def test_verify_grid_skips_formula_budget_refusal(monkeypatch):
     assert report.cells_checked == 8 and report.verified
 
 
-def test_verify_budget_reaches_oracle_backed_formulas(monkeypatch):
-    # the one formula that reads an input column from the oracle gets the
-    # verify budget, not the default one
-    from t0enum.catalog import registry
-
-    seen = []
-    oracle_count = registry.oracle_count
-
-    def recording(spec, m, n, budget=oracle.DEFAULT_BUDGET):
-        seen.append(budget)
-        return oracle_count(spec, m, n, budget)
-
-    monkeypatch.setattr(registry, "oracle_count", recording)
-    budget = OracleBudget(max_cells=12)
-    registry.resolve_class("bar_theta_51").evaluate(2, 3, k=1, budget=budget)
-    assert seen == [budget]
-    seen.clear()
-    report = verify_grid("bar_theta_51", 3, 3, k=2, budget=budget)
-    assert report.cells_checked == 9
-    # each cell's own oracle call, and the formula's
-    assert len(seen) > 9 and all(b is budget for b in seen)
-
-
-def test_verify_budget_above_the_default_checks_oracle_backed_cells():
-    # n = 21 exceeds the default max_cells = 20; a raised cap reaches the
-    # oracle calls of bar_theta_51's formula as well as the cell's own
+def test_verify_budget_above_the_default_checks_wider_cells():
+    # n = 21 exceeds the default max_cells = 20, so only the oracle side
+    # refuses those cells; a raised cap checks them
     assert verify_grid("bar_theta_51", 2, 21, k=1).skipped == [(1, 21, 1), (2, 21, 1)]
     report = verify_grid("bar_theta_51", 2, 21, k=1, budget=OracleBudget(max_cells=21))
     assert report.cells_checked == 42 and not report.skipped and report.verified
