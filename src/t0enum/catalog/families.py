@@ -33,7 +33,6 @@ from ..exactmath import (
 from ..transforms import (
     connected_count,
     cover_transform,
-    kept_row,
     order_factor,
     partition_type_sum,
     t0_transform,
@@ -76,7 +75,13 @@ def bar_alpha(i, conv, m, n):
 
 
 def bar_alpha_star(i, conv, m, n):
-    return t0_transform(lambda t: bar_alpha(i, conv, m, t), n)
+    """The filtration of `bar_alpha`'s sieve, taken term by term as in
+    `beta_star`: the cover shift of the column the pinned terms read, plus
+    the filtered excess of the unpinned column i over it."""
+    c = 2 * (i // 2)
+    return cover_transform(lambda t: alpha(c, conv, m, t), n) + t0_transform(
+        lambda t: alpha(i, conv, m, t) - alpha(c, conv, m, t), n
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +393,7 @@ def bar_beta_star_13(m, n, loops=False):
     """Unordered distinct-column double covers without empty edges (every
     vertex in exactly two edges, or with loops in one or two), transferred
     from the graph count by the transpose bijection."""
-    return order_factor(factorial(n) * bar_theta_circ_13(n, m, loops), m, "to_unordered")
+    return order_factor(factorial(n) * bar_theta_circ_13(n, m, loops), m)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +434,10 @@ def omega_1(conv, m, n):
     if n == 1:
         return selections(conv, 1, m)
     return connected_count(
+        key=("omega_1", conv),
         head=alpha(1, conv, m, n) - alpha(1, conv, m, n - 1),
-        inner=lambda mm, nn: kept_row(("alpha_1", conv, mm), lambda t: alpha(1, conv, mm, t), nn),
-        connected=lambda i, nn: kept_row(("omega_1", conv, i), lambda t: omega_1(conv, i, t), nn),
+        inner=lambda mm, t: alpha(1, conv, mm, t),
+        connected=lambda i, t: omega_1(conv, i, t),
         ordered=conv in (1, 2), m=m, n=n,
     )
 
@@ -520,15 +526,10 @@ def bar_omega_star_0(s, m, n, k, *, bounded):
     if k == 0:
         return 0
     return connected_count(
+        key=("bar_omega_star_0", s, k, bounded),
         head=theta_star_0(s, m, n, k, bounded=bounded) - theta_star_1(s, m, n - 1, k, bounded=bounded),
-        inner=lambda mm, nn: kept_row(
-            ("theta_star_0", s, mm, k, bounded),
-            lambda t: theta_star_0(s, mm, t, k, bounded=bounded), nn,
-        ),
-        connected=lambda i, nn: kept_row(
-            ("bar_omega_star_0", s, i, k, bounded),
-            lambda t: bar_omega_star_0(s, i, t, k, bounded=bounded), nn,
-        ),
+        inner=lambda mm, t: theta_star_0(s, mm, t, k, bounded=bounded),
+        connected=lambda i, t: bar_omega_star_0(s, i, t, k, bounded=bounded),
         ordered=s in (1, 2), m=m, n=n,
     )
 
@@ -550,14 +551,10 @@ def bar_omega_star_02_as_printed(m, n, k):
         return theta_star_0(2, mm, t, k, bounded=False)
 
     return connected_count(
+        key=("bar_omega_star_02_as_printed", k),
         head=theta_star_0(2, m, n, k, bounded=False) - theta_star_1(2, m, n - 1, k, bounded=False),
-        inner=lambda mm, nn: kept_row(
-            ("theta0_printed", mm, k), lambda t: theta0_printed(mm, t), nn
-        ),
-        connected=lambda i, nn: kept_row(
-            ("bar_omega_star_02_as_printed", i, k),
-            lambda t: bar_omega_star_02_as_printed(i, t, k), nn,
-        ),
+        inner=theta0_printed,
+        connected=lambda i, t: bar_omega_star_02_as_printed(i, t, k),
         ordered=k in (1, 2), m=m, n=n,
     )
 
@@ -566,23 +563,21 @@ def bbar_omega_star_12_as_printed(m, n, k):
     """Bounded-size connected recurrence read literally: the through-count
     inside the sum is the cover column, the split weight is indexed by the
     size parameter k, and the recursion refers to the empty-edges-allowed
-    connected family: t empty rows, in C(i, t) places, spread over the
-    bounded connected column, since an empty edge touches neither
+    connected family: e >= 0 empty rows spread over the bounded connected
+    column (`_row_copies`), since an empty edge touches neither
     connectivity nor distinct columns."""
     if n == 1:
         return 1
 
     def with_empties(i, j):
-        return sum(binom(i, t) * bar_omega_star_0(2, i - t, j, k, bounded=True) for t in range(i + 1))
+        return bar_omega_star_0(2, i, j, k, bounded=True) + _row_copies(
+            2, i, lambda r: bar_omega_star_0(2, r, j, k, bounded=True)
+        )
 
     return connected_count(
+        key=("bbar_omega_star_12_as_printed", k),
         head=theta_star_0(2, m, n, k, bounded=True) - theta_star_1(2, m, n - 1, k, bounded=True),
-        inner=lambda mm, nn: kept_row(
-            ("theta_star_1", 2, mm, k, True),
-            lambda t: theta_star_1(2, mm, t, k, bounded=True), nn,
-        ),
-        connected=lambda i, nn: kept_row(
-            ("bbar_omega_star_12_with_empties", i, k), lambda j: with_empties(i, j), nn
-        ),
+        inner=lambda mm, t: theta_star_1(2, mm, t, k, bounded=True),
+        connected=with_empties,
         ordered=k in (1, 2), m=m, n=n,
     )

@@ -42,7 +42,7 @@ ordered matrices, so the fast path cannot drift.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb, factorial
 
 from .exactmath import BudgetExceededError
@@ -211,16 +211,9 @@ class ErrataRecord:
     status: str  # confirmed-typo | convention-gap | unresolved
 
     def as_dict(self):
-        return {
-            "class_id": self.class_id,
-            "m": self.m,
-            "n": self.n,
-            "k": self.k,
-            "formula_value": str(self.formula_value),
-            "oracle_value": str(self.oracle_value),
-            "reference": self.reference,
-            "status": self.status,
-        }
+        # the counts as strings, so JSON readers need not hold big integers
+        counts = {"formula_value": str(self.formula_value), "oracle_value": str(self.oracle_value)}
+        return {**asdict(self), **counts}
 
 
 @dataclass

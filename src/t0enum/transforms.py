@@ -12,20 +12,16 @@ Vocabulary (used across the package):
   * t0_inverse          - its Stirling-second-kind inverse;
   * t0_transform_sets   - the same filtration for edge-set counts summed
                           over all m (index from 0);
-  * ordered_with_repeats / unordered_with_repeats / order_factor -
-                          edge-multiplicity transforms between the four row
-                          conventions;
+  * ordered_with_repeats / order_factor - edge-multiplicity transforms
+                          between the row conventions;
   * partition_type_sum  - inclusion-exclusion over vertex set partitions;
   * cover_transform     - the shift producing distinct-column cover counts
                           from plain counts of an isolated-vertex-stable
                           property;
   * connected_count     - the connected-component recurrence, the one
-                          double sum of every connected family; it reads
-                          rows, not cells (entry t of a row is the value on
-                          t vertices, entry 0 is unread);
-  * kept_row            - the rows connected_count reads, one list per key
-                          (family and every fixed argument), kept for the
-                          process and extended on demand;
+                          double sum of every connected family; it keeps
+                          the values it reads as rows, one list per caller's
+                          key and edge count, kept for the process;
   * first_egf_mismatch / egf_log_check - the series-logarithm reference.
 """
 
@@ -81,22 +77,12 @@ def ordered_with_repeats(source, m):
     return sum(stirling2(m, i) * source(i) for i in range(1, m + 1))
 
 
-def unordered_with_repeats(source, m):
-    """sum_{i=1..m} C(m-1, i-1) source(i): distinct-edge-set counts ->
-    edge-multiset counts (edge-partition-invariant properties only)."""
-    return sum(binom(m - 1, i - 1) * source(i) for i in range(1, m + 1))
-
-
-def order_factor(value, m, direction):
-    """Divide or multiply by m! between ordered and unordered distinct rows."""
-    if direction == "to_unordered":
-        q, r = divmod(value, factorial(m))
-        if r:
-            raise ValueError(f"{value} not divisible by {m}! - upstream classification bug")
-        return q
-    if direction == "to_ordered":
-        return value * factorial(m)
-    raise ValueError(f"unknown direction {direction!r}")
+def order_factor(value, m):
+    """value / m!: ordered distinct-row counts -> unordered distinct rows."""
+    q, r = divmod(value, factorial(m))
+    if r:
+        raise ValueError(f"{value} not divisible by {m}! - upstream classification bug")
+    return q
 
 
 @cache
@@ -134,13 +120,12 @@ def cover_transform(source, n):
     return sum(stirling1(n + 1, i) * source(i - 1) for i in range(1, n + 2))
 
 
-# key -> [None, family(1), family(2), ...]; see kept_row
+# key -> [None, family(1), family(2), ...]; see _kept_row
 _KEPT_ROWS = {}
 
 
-def kept_row(key, family, n):
-    """The row [None, family(1), ..., family(n-1)] kept under key, which
-    names the family and every argument it fixes.
+def _kept_row(key, family, n):
+    """The row [None, family(1), ..., family(n-1)] kept under key.
 
     The list is kept for the process and extended on demand, so it may be
     longer than n; entry 0 is a placeholder, never computed.  As in
@@ -158,7 +143,7 @@ def kept_row(key, family, n):
     return row
 
 
-def connected_count(head, inner, connected, ordered, m, n):
+def connected_count(key, head, inner, connected, ordered, m, n):
     """One cell of the connected-component recurrence (the exp-log identity).
 
     connected(m, n) = head - sum_{i=1..m} sum_{j=1..n-1}
@@ -170,12 +155,13 @@ def connected_count(head, inner, connected, ordered, m, n):
     the other m - i edges on the other n - j vertices.  nu(m, i) is C(m, i)
     for ordered rows (which i rows form the component) and 1 otherwise.
 
-    inner(mm, n) and connected(i, n) return rows, not values: sequences
-    whose entry t is the value on t vertices for 1 <= t < n (entry 0 is
-    never read, and entries past n - 1 are ignored).  The catalog passes
-    `kept_row` rows, keyed by the family, its convention, its edge count
-    and any size parameter and flag.  A cell builds the binomials C(n-1, .)
-    once, reads 2m rows and sums over j in one pass per row pair.
+    inner(mm, t) and connected(i, t) return values on t >= 1 vertices.  The
+    recurrence keeps them for the process as rows, entry t the value on t
+    vertices: inner rows under (key, "inner", mm) and connected rows under
+    (key, i).  So key must name the family and every argument its callbacks
+    fix: its convention and any size parameter and flag.  A cell builds the
+    binomials C(n-1, .) once, reads 2m rows and sums over j in one pass per
+    row pair.
     """
     weights = [1] * (n - 1)  # C(n-1, j-1) for j = 1..n-1, one Pascal row
     for j in range(1, n - 1):
@@ -183,8 +169,9 @@ def connected_count(head, inner, connected, ordered, m, n):
     total = head
     for i in range(1, m + 1):
         nu = binom(m, i) if ordered else 1
-        rest = inner(m - i, n)
-        total -= nu * sum(map(mul, map(mul, weights, connected(i, n)[1:n]), rest[n - 1 : 0 : -1]))
+        rest = _kept_row((key, "inner", m - i), lambda t: inner(m - i, t), n)
+        row = _kept_row((key, i), lambda t: connected(i, t), n)
+        total -= nu * sum(map(mul, map(mul, weights, row[1:n]), rest[n - 1 : 0 : -1]))
     return total
 
 

@@ -4,6 +4,8 @@ These deliberately avoid the package's own partition/transform code so that
 derived expected values come from a second route.
 """
 
+from math import comb
+
 
 def brute_set_partitions(elements):
     """All set partitions of a list, as lists of lists: the one set-partition
@@ -24,3 +26,10 @@ def type_of_partition(blocks, n):
     for b in blocks:
         tau[len(b) - 1] += 1
     return tuple(tau)
+
+
+def unordered_with_repeats(source, m):
+    """sum_{i=1..m} C(m-1, i-1) source(i): distinct-edge-set counts ->
+    edge-multiset counts (edge-partition-invariant properties only).  The
+    package has no caller; the identity tests state it."""
+    return sum(comb(m - 1, i - 1) * source(i) for i in range(1, m + 1))

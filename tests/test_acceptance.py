@@ -21,8 +21,9 @@ from t0enum.transforms import (
     ordered_with_repeats,
     t0_inverse,
     t0_transform,
-    unordered_with_repeats,
 )
+
+from conftest import unordered_with_repeats
 
 GRID = range(1, 5)
 

@@ -541,19 +541,25 @@ def test_bounded_size_beyond_n_is_no_bound():
     assert pairs >= 15
 
 
-def test_beta_star_is_the_filtration_of_beta_beyond_the_grid():
-    # beta_star filters beta's sieve term by term (cover shift plus the
-    # filtered excess); the plain filtration of beta is the reference, for
-    # all 32 (column, convention) pairs far past the oracle's grid
-    for i in range(8):
+@pytest.mark.parametrize(
+    "starred, sieve, columns",
+    [(F.beta_star, F.beta, 8), (F.bar_alpha_star, F.bar_alpha, 4)],
+    ids=["beta_star", "bar_alpha_star"],
+)
+def test_beta_star_is_the_filtration_of_beta_beyond_the_grid(starred, sieve, columns):
+    # beta_star and bar_alpha_star filter a vertex sieve term by term (cover
+    # shift plus the filtered excess); the plain filtration of the sieve is
+    # the reference, for every (column, convention) pair far past the
+    # oracle's grid
+    for i in range(columns):
         for conv in range(1, 5):
             for m in range(1, 13):
                 for n in range(1, 13):
-                    plain = t0_transform(lambda t: F.beta(i, conv, m, t), n)
-                    assert F.beta_star(i, conv, m, n) == plain, (i, conv, m, n)
-    # with no edge every vertex is isolated: no vertex set but the empty one
-    # is covered
+                    plain = t0_transform(lambda t: sieve(i, conv, m, t), n)
+                    assert starred(i, conv, m, n) == plain, (i, conv, m, n)
+    # with no edge every vertex is isolated and common to every edge: no
+    # vertex set but the empty one is covered or free of a common vertex
     for i in range(4):
         for conv in range(1, 5):
             for n in range(1, 7):
-                assert F.beta_star(i, conv, 0, n) == 0, (i, conv, n)
+                assert starred(i, conv, 0, n) == 0, (i, conv, n)

@@ -10,23 +10,23 @@ from t0enum.hypercore import ClassSpec
 from t0enum.oracle import count
 from t0enum.transforms import (
     InsufficientTableDepthError,
+    _kept_row,
     connected_count,
     cover_transform,
     egf_log_check,
     first_egf_mismatch,
-    kept_row,
     order_factor,
     ordered_with_repeats,
     partition_type_sum,
     t0_transform,
     t0_inverse,
     t0_transform_sets,
-    unordered_with_repeats,
     vertex_sieve,
 )
 from t0enum.catalog import families as F
 
 from brute_reference import partition_sum
+from conftest import unordered_with_repeats
 
 
 def test_t0_transform_examples():
@@ -89,13 +89,12 @@ def test_ordered_with_repeats():
 
 
 def test_order_factor():
-    assert order_factor(12, 2, "to_unordered") == 6
-    assert order_factor(6, 2, "to_ordered") == 12
+    assert order_factor(12, 2) == 6
     with pytest.raises(ValueError):
-        order_factor(7, 2, "to_unordered")
+        order_factor(7, 2)
     cover1 = ClassSpec(row_convention=1, require_cover=True)
     cover3 = ClassSpec(row_convention=3, require_cover=True)
-    assert order_factor(count(cover1, 2, 2), 2, "to_unordered") == count(cover3, 2, 2)
+    assert order_factor(count(cover1, 2, 2), 2) == count(cover3, 2, 2)
 
 
 def test_unordered_with_repeats():
@@ -216,12 +215,13 @@ def test_cover_transform():
 
 
 def _omega12_cell(m, n, memo):
-    # one omega_12 cell whose smaller connected values are read from a dict,
-    # passed as rows: entry t is the value on t vertices, entry 0 unread
+    # one omega_12 cell whose smaller connected values are read from a dict;
+    # a fresh key keeps the rows it fills apart from every other cell's
     return connected_count(
+        key=object(),
         head=selections(2, 2**n - 1, m) - selections(2, 2 ** (n - 1) - 1, m),
-        inner=lambda mm, nn: [None] + [selections(2, 2**t - 1, mm) for t in range(1, nn)],
-        connected=lambda i, nn: [None] + [memo[(i, t)] for t in range(1, nn)],
+        inner=lambda mm, t: selections(2, 2**t - 1, mm),
+        connected=lambda i, t: memo[(i, t)],
         ordered=True,
         m=m,
         n=n,
@@ -255,6 +255,7 @@ def test_connected_count_memo_order_independent():
 
 
 def test_kept_row_reentrant_family_keeps_indices():
+    # the private row store that connected_count reads its callbacks through
     # triangular(t) reads its own row at t - 1, and fails once at t = 5
     key, calls, fail_at = ("triangular", object()), [], {5}
 
@@ -262,13 +263,13 @@ def test_kept_row_reentrant_family_keeps_indices():
         calls.append(t)
         if t in fail_at:
             raise ArithmeticError(t)
-        return t + (kept_row(key, triangular, t)[t - 1] if t > 1 else 0)
+        return t + (_kept_row(key, triangular, t)[t - 1] if t > 1 else 0)
 
     with pytest.raises(ArithmeticError):
-        kept_row(key, triangular, 9)
-    assert kept_row(key, triangular, 5) == [None, 1, 3, 6, 10]
+        _kept_row(key, triangular, 9)
+    assert _kept_row(key, triangular, 5) == [None, 1, 3, 6, 10]
     fail_at.clear()
-    assert kept_row(key, triangular, 9) == [None] + [t * (t + 1) // 2 for t in range(1, 9)]
+    assert _kept_row(key, triangular, 9) == [None] + [t * (t + 1) // 2 for t in range(1, 9)]
     assert calls == [1, 2, 3, 4, 5, 5, 6, 7, 8]
     # a nested call that extends the row past t: the outer value is not
     # appended a second time
@@ -277,10 +278,10 @@ def test_kept_row_reentrant_family_keeps_indices():
     def squares(t):
         if t == 3 and not nested:
             nested.append(t)
-            kept_row(key, squares, 5)
+            _kept_row(key, squares, 5)
         return t * t
 
-    assert kept_row(key, squares, 7) == [None, 1, 4, 9, 16, 25, 36]
+    assert _kept_row(key, squares, 7) == [None, 1, 4, 9, 16, 25, 36]
 
 
 def test_component_sum_reconstructs_plain_table():
