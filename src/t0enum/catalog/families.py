@@ -220,14 +220,17 @@ def theta_star_0(s, m, n, k, *, bounded):
     """Distinct-column counts with edges of size k (sizes 1..k when
     bounded) via the partition-type sum.
 
-    The callback counts edges as block unions of total size k (at most k);
-    at m = 0 the sum collapses to [n = 1] which is exactly the right
-    boundary.  At n = 0 the rows choose among the edges on no vertex.
+    The callback counts edges as block unions of total size k (at most k),
+    so it reads only the blocks of at most k vertices; at m = 0 the sum
+    collapses to [n = 1] which is exactly the right boundary.  At n = 0 the
+    rows choose among the edges on no vertex.
     """
     if n == 0:
         return selections(s, _edges(0, 0, k, bounded), m)
     unions = block_union_upto if bounded else block_union_ksets
-    return partition_type_sum(lambda tau: selections(s, unions(tau, k), m), n)
+    return partition_type_sum(
+        lambda tau: selections(s, unions(tau, k), m), n, max(0, min(k, n))
+    )
 
 
 @cache

@@ -3,18 +3,20 @@
 Everything here is pure big-integer arithmetic (Python ints); no floating
 point is used anywhere.  Stirling numbers are memoized by whole rows because
 every consumer (the Stirling transforms, the partition-type sums) reads whole
-rows at a time.  The table of partition types of n and the sub-type
-polynomial of each (type, kmax) are memoized too, as tuples, since no
-partition-type sum depends on more than n (and kmax).  Partition types are
-capped at n <= MAX_PARTITION_TYPE_N: p(n) grows like exp(pi sqrt(2n/3)), and
-a larger n is refused with BudgetExceededError before anything is built.
+rows at a time.  The partition types of n truncated at the largest block
+size k a sum reads, and the sub-type polynomial of each (type, kmax), are
+memoized too, as tuples, since no partition-type sum depends on more than
+(n, k).  Partition types are capped at n <= MAX_PARTITION_TYPE_N: with
+k = n there are p(n) types, which grows like exp(pi sqrt(2n/3)), and a
+larger n is refused with BudgetExceededError before anything is built.
 """
 
 import math
 from functools import cache
 
-# p(40) = 37,338 types, about 13 MB as tuples; p(n) more than doubles with
-# every five steps of n beyond it.
+# p(40) = 37,338 whole types (k = n), about 13 MB as tuples; p(n) more than
+# doubles with every five steps of n beyond it.  A small k lists far fewer
+# (401 at n = 40, k = 2), but the cap is on n alone.
 MAX_PARTITION_TYPE_N = 40
 
 
@@ -88,38 +90,47 @@ def stirling2(n, i):
 
 
 @cache
-def partition_types(n):
-    """Every partition type of n exactly once, as a memoized tuple.
+def partition_types(n, k):
+    """The partition types of n truncated at block size k, each once, as a
+    memoized tuple.
 
-    Types are fixed-length n-tuples (a_1, ..., a_n) with sum(i * a_i) == n,
-    trailing zeros kept so that componentwise comparison is positional.
-    Order: lexicographic on the tuple.  The parts are filled from the
-    largest size down and parts of size 1 take the remainder, so every
-    branch ends in a type; the p(n) types are then sorted once.  n above
+    A type is a tuple (a_1, ..., a_l) of block counts for the sizes up to
+    l = min(k, n), trailing zeros kept so that comparison is positional.
+    The r = n - sum(i * a_i) vertices it leaves lie in blocks longer than
+    k, so r is 0 or greater than k; every r in 1..k is left out.  With
+    k >= n only r = 0 is left: the p(n) whole types.  Order: lexicographic
+    on the tuple.  The parts are filled from the largest size down and
+    parts of size 1 pick what they leave over, so every branch ends in
+    types.  n < 1 or k < 0 raises ValueError, and n above
     MAX_PARTITION_TYPE_N raises BudgetExceededError.
     """
-    if n < 1:
-        raise ValueError("partition types need n >= 1")
+    if n < 1 or k < 0:
+        raise ValueError("partition types need n >= 1 and k >= 0")
     if n > MAX_PARTITION_TYPE_N:
         raise BudgetExceededError(
             f"partition types of n = {n} exceed the cap n <= {MAX_PARTITION_TYPE_N}", n=n
         )
+    k = min(k, n)
+    if k == 0:
+        return ((),)
     found = []
-    acc = [0] * n
+    acc = [0] * k
 
     def fill(i, remaining):
-        # sizes above i are fixed; no part of size > remaining fits
-        i = min(i, remaining)
-        if i <= 1:
-            acc[0] = remaining
-            found.append(tuple(acc))
+        # sizes above i are fixed; `remaining` vertices are left for sizes
+        # 1..i and for the blocks longer than k
+        if i == 1:
+            # leave none, or more than k, to the long blocks
+            for a in (*range(remaining - k), remaining):
+                acc[0] = a
+                found.append(tuple(acc))
             return
         for a in range(remaining // i + 1):
             acc[i - 1] = a
             fill(i - 1, remaining - i * a)
         acc[i - 1] = 0
 
-    fill(n, n)
+    fill(k, n)
     found.sort()
     return tuple(found)
 

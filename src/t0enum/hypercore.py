@@ -218,7 +218,8 @@ def features_satisfy(features, spec):
         kind, k = spec.vertex_degree
         if kind == "exact_cover" and any(d != k for d in f.col_sizes):
             return False
-        if kind == "at_most_cover" and (f.col_sizes[0] < 1 or f.col_sizes[-1] > k):
+        # with no vertex (n = 0) a degree bound is vacuous
+        if kind == "at_most_cover" and f.col_sizes and (f.col_sizes[0] < 1 or f.col_sizes[-1] > k):
             return False
     return True
 

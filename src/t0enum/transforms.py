@@ -14,7 +14,8 @@ Vocabulary (used across the package):
                           over all m (index from 0);
   * ordered_with_repeats / order_factor - edge-multiplicity transforms
                           between the row conventions;
-  * partition_type_sum  - inclusion-exclusion over vertex set partitions;
+  * partition_type_sum  - inclusion-exclusion over vertex set partitions,
+                          grouped by the blocks no longer than k;
   * cover_transform     - the shift producing distinct-column cover counts
                           from plain counts of an isolated-vertex-stable
                           property;
@@ -34,6 +35,7 @@ from .exactmath import (
     partition_types,
     permutations_with_cycle_type,
     num_blocks,
+    sigma,
     stirling1,
     stirling2,
 )
@@ -85,30 +87,59 @@ def order_factor(value, m):
     return q
 
 
+def _long_cycle_signs(n, k):
+    # g[r] for r = 0..n: permutations of an r-set whose cycles are all longer
+    # than k, each signed (-1)^(r - cycles).  The cycle through one element
+    # has some length c > k: g(r) = sum_c (-1)^(c-1) (c-1)! C(r-1, c-1) g(r-c).
+    g = [1] + [0] * n
+    for r in range(k + 1, n + 1):
+        g[r] = sum(
+            (-1) ** (c - 1) * factorial(c - 1) * binom(r - 1, c - 1) * g[r - c]
+            for c in range(k + 1, r + 1)
+        )
+    return g
+
+
 @cache
-def _signed_cycle_types(n):
-    # (tau, (-1)^(n-|tau|) c(tau)) for every type of n, in type order
-    return tuple(
-        (tau, (-1) ** (n - num_blocks(tau)) * permutations_with_cycle_type(tau))
-        for tau in partition_types(n)
-    )
+def _signed_cycle_types(n, k):
+    # (tau, weight) for every type of n truncated at k, in type order
+    types = partition_types(n, k)  # refuses n < 1 or over the cap first
+    g = _long_cycle_signs(n, k)
+    weights = []
+    for tau in types:
+        size = sigma(tau)
+        c = (-1) ** (size - num_blocks(tau)) * permutations_with_cycle_type(tau)
+        weights.append((tau, c * binom(n, size) * g[n - size]))
+    return tuple(weights)
 
 
-def partition_type_sum(alpha_tau, n):
+def partition_type_sum(alpha_tau, n, k):
     """Inclusion-exclusion over the set partitions of an n-set, for a
-    callback that reads only a partition's type.
+    callback that reads only how many blocks of each size 1..k a partition
+    has: k is the largest block size it reads (n for whole types).
 
     A partition weighs the product over its blocks b of
-    (-1)^(|b|-1) (|b|-1)!, so the partitions of type tau weigh
-    (-1)^(n-|tau|) c(tau) together, c(tau) being the number of permutations
-    of cycle type tau (Cauchy's formula).  The sum is therefore
-    sum over types tau of (-1)^(n-|tau|) c(tau) alpha_tau(tau).
+    (-1)^(|b|-1) (|b|-1)!, the signed count of the cyclic orders of its
+    blocks.  The partitions of a whole type tau weigh (-1)^(n-|tau|) c(tau)
+    together, c(tau) being the number of permutations of cycle type tau
+    (Cauchy's formula).  For a type tau = (a_1, ..., a_k) truncated at k,
+    with sigma = sum(i * a_i) vertices in its short blocks and r = n - sigma
+    in blocks longer than k, the weights add up to
 
-    The signed weights are built once per n and memoized; only alpha_tau is
-    called per sum.  n above exactmath.MAX_PARTITION_TYPE_N raises
-    BudgetExceededError before any type is built.
+        (-1)^(sigma-|tau|) c(tau) C(n, r) g_k(r),
+
+    where g_k(r) = r! [x^r] (1 + x) exp(-sum_{i<=k} (-1)^(i-1) x^i / i) is
+    the signed count of permutations of an r-set with every cycle longer
+    than k (the exponential formula, Stanley, EC2 5.1).  g_k(r) is 0 for
+    1 <= r <= k, so only r = 0 or r > k is listed; with k >= n that is the
+    plain sum over whole types.
+
+    The weights are built once per (n, k) and memoized; only alpha_tau is
+    called per sum.  n < 1 raises ValueError, and n above
+    exactmath.MAX_PARTITION_TYPE_N raises BudgetExceededError before any
+    type is built.
     """
-    return sum(c * alpha_tau(tau) for tau, c in _signed_cycle_types(n))
+    return sum(c * alpha_tau(tau) for tau, c in _signed_cycle_types(n, k))
 
 
 def cover_transform(source, n):

@@ -269,6 +269,24 @@ def test_minimal_cover_without_common_vertex_beyond_the_oracle():
 
 
 @pytest.mark.parametrize(
+    "m, value",
+    [
+        # two edges of at most two vertices cover no more than four
+        ("2", "0"),
+        ("30", "312208087688055732054748115348385814650850036142933164006255362048000000000000"),
+    ],
+)
+def test_partition_type_sum_reads_only_blocks_up_to_k(m, value):
+    # the sum lists the 401 types of 40 truncated at k = 2, not all 37,338
+    # (the whole-type sum took 7-9 s per cell on a 2-core host)
+    start = time.perf_counter()
+    code, text = run_cli("table", "--class", "theta_star_12", "--m", m, "--n", "40", "--k", "2")
+    assert code == 0
+    assert text.splitlines()[2] == f"{m}\t{value}"
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize(
     "argv, value",
     [
         (("table", "--class", "alpha_star_02", "--m", "200", "--n", "200"), falling(2**200, 200)),

@@ -72,14 +72,14 @@ def test_stirling_orthogonality_up_to_30():
 
 
 def test_partition_types_counts_and_order():
-    types4 = list(partition_types(4))
+    types4 = list(partition_types(4, 4))
     assert len(types4) == 5
     assert types4 == sorted(types4)
-    assert list(partition_types(1)) == [(1,)]
-    types3 = list(partition_types(3))
+    assert list(partition_types(1, 1)) == [(1,)]
+    types3 = list(partition_types(3, 3))
     assert (3, 0, 0) in types3 and (1, 1, 0) in types3 and (0, 0, 1) in types3
     for n in range(1, 9):
-        for tau in partition_types(n):
+        for tau in partition_types(n, n):
             assert len(tau) == n
             assert sigma(tau) == n
             assert 1 <= num_blocks(tau) <= n
@@ -101,14 +101,35 @@ def _euler_partition_counts(n_max):
 
 def test_partition_types_match_literal_builder():
     for n in range(1, 16):
-        assert list(partition_types(n)) == partition_types_literal(n)
+        assert list(partition_types(n, n)) == partition_types_literal(n)
+
+
+def test_truncated_partition_types_are_the_truncated_whole_types():
+    # the vertices past the first k sizes lie in blocks longer than k, so
+    # they number 0 or more than k, and every such truncation extends to a
+    # whole type by one block
+    for n in range(1, 12):
+        whole = partition_types_literal(n)
+        for k in range(n + 2):
+            types = partition_types(n, k)
+            assert list(types) == sorted({tau[:k] for tau in whole}), (n, k)
+            assert all(n - sigma(tau) == 0 or n - sigma(tau) > k for tau in types)
+    assert partition_types(24, 2)[:3] == ((0, 0), (0, 1), (0, 2))
+    counts = [len(partition_types(n, k)) for n, k in ((24, 2), (20, 3), (40, 2))]
+    assert counts == [145, 248, 401]
+
+
+def test_partition_types_refuse_n_below_one_and_negative_k():
+    for n, k in ((0, 0), (-1, 0), (0, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            partition_types(n, k)
 
 
 def test_partition_types_up_to_cap():
     p = _euler_partition_counts(MAX_PARTITION_TYPE_N)
     assert p[40] == 37338
     for n in range(1, MAX_PARTITION_TYPE_N + 1):
-        types = partition_types(n)
+        types = partition_types(n, n)
         assert isinstance(types, tuple)
         assert len(types) == p[n]
         assert all(a < b for a, b in zip(types, types[1:]))
@@ -119,10 +140,13 @@ def test_partition_types_up_to_cap():
 
 def test_partition_types_over_cap_refused_before_building():
     with pytest.raises(BudgetExceededError, match="exceed the cap"):
-        partition_types(MAX_PARTITION_TYPE_N + 1)
+        partition_types(MAX_PARTITION_TYPE_N + 1, MAX_PARTITION_TYPE_N + 1)
     with pytest.raises(BudgetExceededError):
-        partition_types(10**6)
-    assert partition_types(9) is partition_types(9)
+        partition_types(10**6, 10**6)
+    # the cap is on n, whatever k
+    with pytest.raises(BudgetExceededError):
+        partition_types(MAX_PARTITION_TYPE_N + 1, 2)
+    assert partition_types(9, 9) is partition_types(9, 9)
 
 
 def test_cycle_type_weights():
@@ -136,7 +160,7 @@ def test_signed_cycle_type_sum_is_stirling1():
         for k in range(1, n + 1):
             total = sum(
                 (-1) ** (n - k) * permutations_with_cycle_type(t)
-                for t in partition_types(n)
+                for t in partition_types(n, n)
                 if num_blocks(t) == k
             )
             assert total == stirling1(n, k)
@@ -166,7 +190,7 @@ def test_block_union_upto_examples():
     assert block_union_upto((1, 1, 0), 2) == 2
     n = 5
     assert block_union_upto(tuple([n] + [0] * (n - 1)), n) == 2**n - 1
-    for tau in partition_types(6):
+    for tau in partition_types(6, 6):
         assert block_union_upto(tau, 6) == 2 ** num_blocks(tau) - 1
 
 
@@ -196,7 +220,7 @@ def _blocks_of_type(tau):
 
 def test_block_unions_after_larger_kmax_filled_the_cache():
     for n in range(1, 9):
-        for tau in partition_types(n):
+        for tau in partition_types(n, n):
             block_union_upto(tau, n + 3)
             block_union_ksets(tau, n + 2)
             sizes = [len(u) for u in _brute_block_unions(_blocks_of_type(tau), n)]

@@ -7,7 +7,9 @@ import brute_reference as literal
 from t0enum.hypercore import (
     ClassSpec,
     IncidenceMatrix,
+    MatrixFeatures,
     MissingParameterError,
+    _feature_record,
     features_satisfy,
     matrix_features,
     satisfies,
@@ -180,3 +182,17 @@ def test_features_agree_with_satisfies():
                     expected = literal.satisfies(mat.rows, n, spec)
                     assert features_satisfy(feats, spec) == expected, (mat, spec)
                     assert satisfies(mat, spec) == expected
+
+
+def test_degree_bounds_are_vacuous_with_no_vertex():
+    # at n = 0 every row is the empty edge and there is no degree to bound;
+    # `IncidenceMatrix` refuses n = 0, so the record is built directly
+    for m in range(4):
+        rows = (0,) * m
+        feats = MatrixFeatures(*_feature_record(rows, 0, []))
+        assert feats == literal.literal_features(rows, 0)
+        for kind in ("exact_cover", "at_most_cover"):
+            for k in range(4):
+                spec = ClassSpec(vertex_degree=(kind, k))
+                assert literal.satisfies(rows, 0, spec) is True
+                assert features_satisfy(feats, spec) is True, (m, spec)

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -11,6 +13,7 @@ from t0enum.oracle import count
 from t0enum.transforms import (
     InsufficientTableDepthError,
     _kept_row,
+    _signed_cycle_types,
     connected_count,
     cover_transform,
     egf_log_check,
@@ -142,7 +145,7 @@ def test_partition_type_sum_reduces_to_stirling_sum():
         values = {k: rng.randint(-9, 9) for k in range(1, n + 1)}
         from t0enum.exactmath import num_blocks
 
-        lhs = partition_type_sum(lambda tau: values[num_blocks(tau)], n)
+        lhs = partition_type_sum(lambda tau: values[num_blocks(tau)], n, n)
         rhs = t0_transform(lambda i: values[i], n)
         assert lhs == rhs
 
@@ -155,7 +158,7 @@ def test_partition_type_sum_uniform_class_vs_oracle():
     for m in range(1, 4):
         for n in range(1, 4):
             value = partition_type_sum(
-                lambda tau: selections(1, block_union_ksets(tau, k), m), n
+                lambda tau: selections(1, block_union_ksets(tau, k), m), n, n
             )
             spec = ClassSpec(row_convention=1, uniformity=("exact", k), require_t0=True)
             assert value == count(spec, m, n)
@@ -166,7 +169,7 @@ def test_partition_sum_agrees_with_type_sum():
 
     for n in range(1, 7):
         lhs = partition_sum(lambda blocks: 3 ** len(blocks) - len(blocks), n)
-        rhs = partition_type_sum(lambda tau: 3 ** num_blocks(tau) - num_blocks(tau), n)
+        rhs = partition_type_sum(lambda tau: 3 ** num_blocks(tau) - num_blocks(tau), n, n)
         assert lhs == rhs
 
 
@@ -182,11 +185,11 @@ def test_partition_type_sum_callbacks_share_no_state():
         return 5 ** num_blocks(tau) - tau[0]
 
     for n in range(1, 8):
-        first = partition_type_sum(uniform, n)
-        second = partition_type_sum(mixed, n)
+        first = partition_type_sum(uniform, n, n)
+        second = partition_type_sum(mixed, n, n)
         assert first == partition_sum(lambda blocks: uniform(type_of_partition(blocks, n)), n)
         assert second == partition_sum(lambda blocks: mixed(type_of_partition(blocks, n)), n)
-        assert partition_type_sum(uniform, n) == first
+        assert partition_type_sum(uniform, n, n) == first
 
 
 def test_partition_type_sum_over_cap_calls_no_callback():
@@ -196,7 +199,52 @@ def test_partition_type_sum_over_cap_calls_no_callback():
         raise AssertionError("callback reached")
 
     with pytest.raises(BudgetExceededError):
-        partition_type_sum(never, MAX_PARTITION_TYPE_N + 1)
+        partition_type_sum(never, MAX_PARTITION_TYPE_N + 1, MAX_PARTITION_TYPE_N + 1)
+    with pytest.raises(BudgetExceededError):
+        partition_type_sum(never, MAX_PARTITION_TYPE_N + 1, 2)
+
+
+def _signed_cycle_types_by_permutations(n, k):
+    # every permutation of an n-set, grouped by its cycle counts of lengths
+    # 1..min(k, n), each signed (-1)^(n - cycles)
+    weights = Counter()
+    for perm in permutations(range(n)):
+        seen, lengths = set(), []
+        for start in range(n):
+            length, v = 0, start
+            while v not in seen:
+                seen.add(v)
+                v, length = perm[v], length + 1
+            if length:
+                lengths.append(length)
+        tau = tuple(lengths.count(i) for i in range(1, min(k, n) + 1))
+        weights[tau] += (-1) ** (n - len(lengths))
+    return weights
+
+
+def test_signed_cycle_types_group_the_permutations_by_short_cycles():
+    for n in range(1, 8):
+        for k in range(n + 2):
+            weights = _signed_cycle_types(n, k)
+            assert [tau for tau, _ in weights] == sorted(tau for tau, _ in weights)
+            assert dict(weights) == _signed_cycle_types_by_permutations(n, k), (n, k)
+
+
+def test_partition_type_sum_over_short_blocks_against_every_partition():
+    from t0enum.exactmath import block_union_ksets, block_union_upto
+
+    from conftest import type_of_partition
+
+    for n in range(1, 8):
+        for k in range(n + 2):
+            for unions in (block_union_ksets, block_union_upto):
+                for s, m in ((1, 2), (2, 0), (2, 3), (4, 2)):
+
+                    def alpha(tau):
+                        return selections(s, unions(tau, k), m)
+
+                    expected = partition_sum(lambda blocks: alpha(type_of_partition(blocks, n)), n)
+                    assert partition_type_sum(alpha, n, k) == expected, (n, k, unions, s, m)
 
 
 def test_cover_transform():
