@@ -6,44 +6,48 @@ matrices of the spec's row convention that satisfy the spec.
 Every `MatrixFeatures` field is invariant under reordering the rows, and
 under reordering the columns too: `row_sizes` and `col_sizes` are sorted,
 and every other field is a property of the set of rows or of the set of
-columns.  So per (m, n) the oracle walks each multiset of one side's codes
-once and counts its feature record, weighted by the number of orders of the
-multiset, k! / prod(mult!) for k walked codes: the size of its orbit under
-permutations of that side (Harary & Palmer, Graphical Enumeration, 1973,
-ch. 2).  Either side gives the same 'ordered' Counter, the one conventions 1
-and 2 read.  Conventions 3 and 4 are quotients by row permutations only, so
-they read the 'multisets' Counter, the row walk's leaves with weight 1.
+columns.  So per (m, n) the oracle walks the narrow side, the rows iff
+n <= m: k codes of w bits, w <= k.  Permuting the other side's w members
+permutes the bits of every code, so it keeps one multiset of k codes per
+orbit of those w! bit permutations (orderly generation: R. C. Read, "Every
+one a winner", Ann. Discrete Math. 2, 1978) and counts its feature record
+once, weighted by the size of its orbit (Harary & Palmer, Graphical
+Enumeration, 1973, ch. 2):
 
-* The row walk (m codes of n bits) fills both Counters at once.
-* The column walk (n codes of m bits) fills 'ordered' alone.  An ordered
-  request runs it when it has strictly fewer leaves,
-  C(2**m + n - 1, n) < C(2**n + m - 1, m): for a wide cell such as (2, 8)
-  that is 165 leaves instead of 32,896.
+* 'ordered' (all matrices, read by conventions 1 and 2) weighs a leaf
+  (w!/|Stab|) * k!/prod(mult!), its multisets' orders summed over the
+  orbit, with mult the walked codes' multiplicities;
+* 'multisets' (row multisets, read by conventions 3 and 4) weighs it that
+  times prod(row mult!)/m!, with the rows walked or carried.
 
-Conventions 1 and 3 read the Counters restricted to records with
-pairwise-distinct rows.
+So one walk fills both Counters.  Conventions 1 and 3 read them restricted
+to records with pairwise-distinct rows.
 
 The walk is depth first over nondecreasing codes, in the order of
-`combinations_with_replacement(range(2**width), k)`, so the budget's
-multiset count is exactly the number of leaves.  Each step carries the
-codes of the other side for the current prefix (walked code i owns bit i
-of every carried code, so moving code i to the next value toggles that bit
-only where the two values differ) and its running prod(mult!) denominator;
-no leaf rebuilds either.  Leaves are counted as plain feature tuples
-(`hypercore._feature_record`, given the rows and the columns in their true
-roles), and each distinct tuple becomes one `MatrixFeatures` when the walk
-ends.
+`combinations_with_replacement(range(2**w), k)`, and keeps a prefix only
+if its sorted code tuple is lexicographically no larger than its sorted
+image under every permutation.  The minimal multiset of an orbit stays
+minimal when its largest code is dropped, so every orbit is reached once,
+through canonical prefixes only.  Each step carries the codes of the other
+side for the current prefix (walked code i owns bit i of every carried
+code) and its running prod(mult!) denominator; no leaf rebuilds either.
+Leaves are counted as plain feature tuples (`hypercore._feature_record`,
+given the rows and the columns in their true roles), and each distinct
+tuple becomes one `MatrixFeatures` when the walk ends.
 
 Evaluating a spec then only walks the (much smaller) set of distinct
 feature records.  The tests check the feature records and
 `features_satisfy` against the literal definitions of the class properties,
-and pin the counts and both walks' Counters to a plain enumeration of all
-ordered matrices, so the fast path cannot drift.
+pin the counts and both Counters, from either side, to a plain enumeration
+of all ordered matrices, and pin the number of leaves to Burnside's count
+of orbits, so the fast path cannot drift.
 """
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from math import comb, factorial
+from functools import cache
+from itertools import permutations
+from math import comb, factorial, prod
 
 from .exactmath import BudgetExceededError
 from .hypercore import MatrixFeatures, _feature_record, features_satisfy
@@ -54,9 +58,13 @@ class OracleBudget:
     """The one enumeration cap, shared by every oracle call.  A walk may
     hold at most max_cells codes of at most max_cells bits per leaf, which
     bounds the work per leaf and is checked before any binomial is built,
-    and it may have at most 2**max_cells leaves.  A walk takes m codes of n
-    bits or n codes of m bits, so the first cap reads max(m, n) <=
-    max_cells, and the second prices the walk `_walk_plan` picks."""
+    so max(m, n) <= max_cells.  It may also have at most 2**max_cells
+    leaves, priced as the plain multiset walk: the C(2**n + m - 1, m) row
+    multisets, or for an ordered cell the C(2**m + n - 1, n) column
+    multisets when they are strictly fewer.  Each orbit holds at least one
+    multiset of either side, so this bounds the orbit walk's leaves.  At
+    the default cap every admitted walk has codes of at most 5 bits, so at
+    most 5! = 120 permutations to test per step."""
 
     max_cells: int = 20
 
@@ -67,13 +75,15 @@ class OracleBudget:
     def check(self, convention, m, n):
         if max(m, n) > self.max_cells:
             raise BudgetExceededError(f"max(m, n) = {max(m, n)} exceeds max_cells = {self.max_cells}", m=m, n=n)
-        side, leaves = _walk_plan(_KIND[convention], m, n)
-        k, width = (m, n) if side == "rows" else (n, m)
+        side, k, width = "row", m, n
+        leaves = comb(2**n + m - 1, m)
+        if _KIND[convention] == "ordered" and comb(2**m + n - 1, n) < leaves:
+            side, k, width, leaves = "column", n, m, comb(2**m + n - 1, n)
         # The count is compared by bit length and never printed, so a huge
         # cap builds no power of two and a huge count is never formatted.
         if (leaves - 1).bit_length() > self.max_cells:  # leaves > 2**max_cells
             raise BudgetExceededError(
-                f"C(2**{width} + {k} - 1, {k}) {side[:-1]} multisets exceed 2**{self.max_cells}", m=m, n=n
+                f"C(2**{width} + {k} - 1, {k}) {side} multisets exceed 2**{self.max_cells}", m=m, n=n
             )
 
 
@@ -83,103 +93,115 @@ DEFAULT_BUDGET = OracleBudget()
 _KIND = {1: "ordered", 2: "ordered", 3: "multisets", 4: "multisets"}
 
 # (kind, m, n) -> Counter of MatrixFeatures, kind in 'ordered', 'multisets';
-# a row walk fills both kinds of a cell, a column walk 'ordered' alone.
+# one walk fills both kinds of a cell.
 _FEATURE_CACHE = {}
-
-
-def _walk_plan(kind, m, n):
-    """(side, leaves): the side a walk for this kind of Counter walks and
-    its number of multisets.  An 'ordered' Counter walks the columns when
-    their C(2**m + n - 1, n) multisets are strictly fewer than the
-    C(2**n + m - 1, m) row multisets; anything else walks the rows."""
-    rows = comb(2**n + m - 1, m)
-    if kind == "ordered":
-        columns = comb(2**m + n - 1, n)
-        if columns < rows:
-            return "columns", columns
-    return "rows", rows
 
 
 def _feature_counter(kind, m, n):
     """Counter of MatrixFeatures over the (m, n) matrices of one kind,
-    weighted as in the module docstring."""
+    weighted as in the module docstring.  One walk of the narrow side fills
+    both kinds of the cell."""
     key = (kind, m, n)
     hit = _FEATURE_CACHE.get(key)
     if hit is not None:
         return hit
-    side, _ = _walk_plan(kind, m, n)
-    records, weighted = _walk_multisets(m, n, side)
-    features = {record: MatrixFeatures(*record) for record in weighted}
-    _FEATURE_CACHE[("ordered", m, n)] = Counter({features[r]: c for r, c in weighted.items()})
-    if side == "rows":
-        _FEATURE_CACHE[("multisets", m, n)] = Counter({features[r]: c for r, c in records.items()})
+    multisets, ordered = _walk_multisets(m, n, "rows" if n <= m else "columns")
+    features = {record: MatrixFeatures(*record) for record in ordered}
+    _FEATURE_CACHE[("ordered", m, n)] = Counter({features[r]: c for r, c in ordered.items()})
+    _FEATURE_CACHE[("multisets", m, n)] = Counter({features[r]: c for r, c in multisets.items()})
     return _FEATURE_CACHE[key]
 
 
 def _walk_multisets(m, n, side):
-    """Counters of feature records over the multisets of one side's codes
-    of the (m, n) cell: one with weight 1 and one with weight k!/prod(mult!).
+    """Counters of feature records over the (m, n) cell, one leaf per orbit
+    of one side's code multisets under permutations of the other side: the
+    'multisets' Counter (row multisets) and the 'ordered' one (matrices).
 
     side is 'rows' (m codes of n bits, carrying the n columns) or
     'columns' (n codes of m bits, carrying the m rows).  Depth first over
     nondecreasing codes, in the order of
-    combinations_with_replacement(range(2**width), k).  Beyond the Counters
-    it keeps O(m + n) ints: the walked codes, the carried codes, and per
-    walked code the length of its run of equal codes and the prod(mult!) of
-    the prefix ending there.
+    combinations_with_replacement(range(2**width), k), keeping a prefix only
+    if it is canonical (see `_orbit_steps`).  Beyond the Counters it keeps
+    the step table, the walked and carried codes and, per depth, one int
+    per permutation.
     """
     multisets, ordered = Counter(), Counter()
     k, width = (m, n) if side == "rows" else (n, m)
-    k_factorial = factorial(k)
-    last = (1 << width) - 1
-    # The first multiset is k copies of code 0, which sets no carried bit.
+    k_factorial, width_factorial, m_factorial = factorial(k), factorial(width), factorial(m)
+    steps = _orbit_steps(width, k)
+    ones = [[j for j in range(width) if code >> j & 1] for code in range(1 << width)]
     walked, carried = [0] * k, [0] * width
     rows, cols = (walked, carried) if side == "rows" else (carried, walked)
-    runs = list(range(1, k + 1))
-    denominators = [factorial(run) for run in runs]
-    while True:
-        record = _feature_record(rows, n, cols)
-        multisets[record] += 1
-        ordered[record] += k_factorial // denominators[-1]
-        # Back up past the codes at the last value (all width bits set).
-        i = k - 1
-        while walked[i] == last:
-            own = 1 << i
-            for j in range(width):
+
+    def extend(depth, low, gaps, run, denominator):
+        # walked[:depth] is canonical; gaps[p] is key(p(prefix)) - key(prefix).
+        # Walked code `depth` owns bit `depth` of every carried code.
+        own = 1 << depth
+        for code in range(low, len(steps)):
+            child = [gap + step for gap, step in zip(gaps, steps[code])]
+            if max(child):  # some permutation sorts the prefix lower
+                continue
+            walked[depth] = code
+            for j in ones[code]:
                 carried[j] ^= own
-            i -= 1
-            if i < 0:
-                return multisets, ordered
-        # Code i moves to the next value, which starts a new run.
-        code = walked[i]
-        _toggle(carried, code ^ (code + 1), 1 << i)
-        code += 1
-        walked[i] = code
-        runs[i] = 1
-        denominators[i] = denominators[i - 1] if i else 1
-        # The codes after it restart at the same value, extending its run.
-        for d in range(i + 1, k):
-            walked[d] = code
-            _toggle(carried, code, 1 << d)
-            runs[d] = runs[d - 1] + 1
-            denominators[d] = denominators[d - 1] * runs[d]
+            # a code equal to the one before extends its run of copies
+            run_here = run + 1 if depth and code == low else 1
+            denominator_here = denominator * run_here
+            if depth + 1 < k:
+                extend(depth + 1, code, child, run_here, denominator_here)
+            else:
+                record = _feature_record(rows, n, cols)
+                weight = width_factorial // child.count(0) * (k_factorial // denominator_here)
+                ordered[record] += weight
+                row_denominator = denominator_here
+                if side == "columns":  # the rows are the carried codes
+                    row_denominator = prod(map(factorial, Counter(carried).values()))
+                multisets[record] += weight * row_denominator // m_factorial
+            for j in ones[code]:
+                carried[j] ^= own
+
+    extend(0, 0, [0] * width_factorial, 0, 1)
+    return multisets, ordered
 
 
-def _toggle(carried, bits, own):
-    """Flip the bit `own` in each carried code named by a set bit of `bits`."""
-    while bits:
-        low = bits & -bits
-        carried[low.bit_length() - 1] ^= own
-        bits ^= low
+def _orbit_steps(width, k):
+    """Per code, what adding it does to each permutation's key gap.
+
+    A multiset of at most k codes of `width` bits has the key
+    sum(2**(s * (2**width - 1 - code))) over its codes, s = k.bit_length():
+    one s-bit digit per code, counting its copies, code 0 the top digit.  So
+    a multiset's sorted tuple is lexicographically smaller than another's
+    of the same size exactly when its key is larger, and a prefix is
+    canonical, no larger than the sorted image of itself under any
+    permutation p of the other side, when key(p(prefix)) <= key(prefix) for
+    every p.  Keys are additive, so each step adds to every permutation's
+    gap key(p(prefix)) - key(prefix) the gap of one code.  The identity
+    comes first, with gap 0 always; the stabilizer is the gaps equal to 0.
+    """
+    top = (1 << width) - 1
+    s = k.bit_length()
+    images = _code_images(width)
+    return [
+        [(1 << s * (top - image[code])) - (1 << s * (top - code)) for image in images] for code in range(top + 1)
+    ]
+
+
+@cache
+def _code_images(width):
+    """Per permutation of `width` bits, identity first, the image of every
+    code: one lookup table per permutation, built on first use."""
+    return tuple(
+        tuple(sum(1 << p for i, p in enumerate(perm) if code >> i & 1) for code in range(1 << width))
+        for perm in permutations(range(width))
+    )
 
 
 def count(spec, m, n, budget=DEFAULT_BUDGET):
     """Exact number of labelled (m, n)-hypergraphs in the class.
 
     One orbit-weighted walk serves every convention: convention 2 reads the
-    'ordered' counter (multinomial weights, so all 2**(m*n) matrices, from
-    the cheaper side's walk), convention 4 the unweighted 'multisets'
-    counter of the row walk, and conventions 1 and 3 the same counters
+    'ordered' counter (all 2**(m*n) matrices), convention 4 the 'multisets'
+    counter (all row multisets), and conventions 1 and 3 the same counters
     restricted to pairwise-distinct rows.
     """
     if m < 1 or n < 1:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import random
 from collections import Counter
@@ -55,35 +56,101 @@ def _features(records):
 
 
 def test_feature_counters_match_literal_enumeration():
-    # the walks' carried codes, multiplicity runs and weights, checked record
-    # by record on every cell with m*n <= 12: the row walk's 'ordered' and
-    # 'multisets' Counters (convention 3 reads the multisets with distinct
-    # rows) and the column walk's 'ordered' Counter
+    # the walk's canonical prefixes, carried codes, multiplicity runs and
+    # orbit weights, checked record by record on every cell with m*n <= 12:
+    # both Counters of the narrow side's walk (convention 3 reads the
+    # multisets with distinct rows), and of both sides where m, n <= 4 (the
+    # wide side of (12, 1) would test 12! permutations per step)
     for m in range(1, 13):
         for n in range(1, 12 // m + 1):
             expected = feature_counters(m, n)
-            multisets, ordered = oracle._walk_multisets(m, n, "rows")
-            assert _features(ordered) == expected["ordered"], ("rows", m, n)
-            assert _features(multisets) == expected["multisets"], (m, n)
-            sets = Counter({f: c for f, c in _features(multisets).items() if f.rows_distinct})
-            assert sets == expected["sets"], (m, n)
-            _, ordered = oracle._walk_multisets(m, n, "columns")
-            assert _features(ordered) == expected["ordered"], ("columns", m, n)
+            sides = ("rows", "columns") if max(m, n) <= 4 else ("rows" if n <= m else "columns",)
+            for side in sides:
+                multisets, ordered = oracle._walk_multisets(m, n, side)
+                assert _features(ordered) == expected["ordered"], (side, m, n)
+                assert _features(multisets) == expected["multisets"], (side, m, n)
+                sets = Counter({f: c for f, c in _features(multisets).items() if f.rows_distinct})
+                assert sets == expected["sets"], (side, m, n)
 
 
 def test_ordered_request_walks_the_cheaper_side(monkeypatch):
-    # an ordered request walks the columns exactly when n > m (strictly
-    # fewer column multisets), which fills 'ordered' alone; a later
-    # 'multisets' request runs the row walk and fills both
-    monkeypatch.setattr(oracle, "_FEATURE_CACHE", {})
-    for m in range(1, 13):
-        for n in range(1, 12 // m + 1):
-            ordered = oracle._feature_counter("ordered", m, n)
-            filled = {("ordered", m, n)} if n > m else {("ordered", m, n), ("multisets", m, n)}
-            assert set(oracle._FEATURE_CACHE) == filled
-            multisets = oracle._feature_counter("multisets", m, n)
-            assert oracle._FEATURE_CACHE == {("ordered", m, n): ordered, ("multisets", m, n): multisets}
-            oracle._FEATURE_CACHE.clear()
+    # a request of either kind walks the narrow side, the rows iff n <= m,
+    # and fills both kinds of the cell, so the other request walks nothing
+    walk = oracle._walk_multisets
+    for first, second in (("ordered", "multisets"), ("multisets", "ordered")):
+        for m in range(1, 13):
+            for n in range(1, 12 // m + 1):
+                monkeypatch.setattr(oracle, "_FEATURE_CACHE", {})
+                sides = []
+
+                def recorded(m, n, side):
+                    sides.append(side)
+                    return walk(m, n, side)
+
+                monkeypatch.setattr(oracle, "_walk_multisets", recorded)
+                counter = oracle._feature_counter(first, m, n)
+                assert sides == ["rows" if n <= m else "columns"]
+                assert set(oracle._FEATURE_CACHE) == {("ordered", m, n), ("multisets", m, n)}
+
+                def no_walk(*args):
+                    raise AssertionError("walked twice")
+
+                monkeypatch.setattr(oracle, "_walk_multisets", no_walk)
+                other = oracle._feature_counter(second, m, n)
+                assert oracle._FEATURE_CACHE == {(first, m, n): counter, (second, m, n): other}
+
+
+def _burnside_orbits(k, width):
+    # multisets of k codes of `width` bits up to permutations of the bits:
+    # (1/width!) sum over p of [t^k] prod over the cycles c of p on the
+    # 2**width codes of 1/(1 - t^|c|)
+    total = 0
+    for perm in itertools.permutations(range(width)):
+        image = [sum(1 << p for i, p in enumerate(perm) if code >> i & 1) for code in range(1 << width)]
+        series = [1] + [0] * k  # power series in t, truncated above t^k
+        seen = set()
+        for start in range(1 << width):
+            if start in seen:
+                continue
+            length, code = 0, start
+            while code not in seen:
+                seen.add(code)
+                code, length = image[code], length + 1
+            for power in range(length, k + 1):
+                series[power] += series[power - length]
+        total += series[k]
+    assert total % math.factorial(width) == 0
+    return total // math.factorial(width)
+
+
+def test_orbit_walk_visits_one_leaf_per_orbit_with_the_full_weight(monkeypatch):
+    # every cell the default budget admits (for the ordered conventions,
+    # which price the cheaper side) with max(m, n) <= 6: one leaf per
+    # orbit of the narrow side's multisets (Burnside's count), and weights
+    # summing to all 2**(m*n) matrices and all C(2**n + m - 1, m) row
+    # multisets
+    leaves = [0]
+    record = oracle._feature_record
+
+    def counted(*args):
+        leaves[0] += 1
+        return record(*args)
+
+    monkeypatch.setattr(oracle, "_feature_record", counted)
+    cells = 0
+    for m in range(1, 7):
+        for n in range(1, 7):
+            try:
+                oracle.DEFAULT_BUDGET.check(2, m, n)
+            except BudgetExceededError:
+                continue
+            cells += 1
+            leaves[0] = 0
+            multisets, ordered = oracle._walk_multisets(m, n, "rows" if n <= m else "columns")
+            assert leaves[0] == _burnside_orbits(max(m, n), min(m, n)), (m, n)
+            assert sum(ordered.values()) == 2 ** (m * n), (m, n)
+            assert sum(multisets.values()) == math.comb(2**n + m - 1, m), (m, n)
+    assert cells == 33
 
 
 def test_count_conventions_3_and_4():
@@ -209,7 +276,7 @@ def test_verify_grid_examples():
 
 
 def test_verify_grid_skips_on_budget():
-    # (4, 4) walks 3,876 <= 2^12 multisets, (5, 5) walks 376,992
+    # (4, 4) is priced at 3,876 <= 2^12 multisets, (5, 5) at 376,992
     report = verify_grid("alpha_02", 5, 5, budget=OracleBudget(max_cells=12))
     assert report.skipped and not report.errata
     assert (5, 5, None) in report.skipped
@@ -264,9 +331,10 @@ def test_default_budget_accepts_the_cells_of_the_former_caps(conventions, m, n):
 )
 def test_graph_classes_take_the_spec_budget(class_id, monkeypatch):
     # the graph classes count through the spec oracle, so they take its
-    # budget: the unordered (6, 5) cell walks C(37, 6) > 2^20 row multisets,
-    # and m = 21 exceeds max_cells.  Both exit 4 before any walk runs, also
-    # before the smaller walks of a `_03` class's sum over covered vertices.
+    # budget: the unordered (6, 5) cell is priced at C(37, 6) > 2^20 row
+    # multisets, and m = 21 exceeds max_cells.  Both exit 4 before any walk
+    # runs, also before the smaller walks of a `_03` class's sum over
+    # covered vertices.
     from t0enum.cli import main
 
     def no_walk(*args):
