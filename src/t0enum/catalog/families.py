@@ -12,10 +12,10 @@ in `registry._uniform_spec`.  It has no default, so a value has one cache key.
 No family reads the oracle, so the oracle checks every count independently.
 
 Boundary cells at n = 0 or m = 0 are taken from the natural closed forms
-(`selections` of an empty column universe), which the oracle confirms on
-every reachable cell; no ad-hoc stipulations are hard-coded unless a
-recurrence needs a base value, and each such base is derived from first
-principles in the docstring of the function that uses it.
+(`selections` of an empty column universe).  The oracle refuses m < 1 and
+n < 1, so it confirms none of them (ROADMAP item 7).  No ad-hoc stipulation
+is hard-coded unless a recurrence needs a base value, and each such base is
+derived from first principles in the docstring of the function that uses it.
 """
 
 from functools import cache
@@ -87,41 +87,41 @@ def bar_alpha_star(i, conv, m, n):
 # ---------------------------------------------------------------------------
 # covers
 
-def _beta_columns(i, conv, m):
-    """The plain counts g(t) and h(t) that `beta` column i sieves: unpinned,
-    and with isolated vertices pinned.  Columns 0..3 read `alpha` column i,
-    4..7 (no singular vertex: covers with no common vertex) `bar_alpha`
-    column i - 4.  Pinning keeps an empty-edge constraint and dissolves a
-    full-edge constraint, so h reads that column mod 2."""
-    family, c = (alpha, i) if i < 4 else (bar_alpha, i - 4)
-    return (lambda t: family(c, conv, m, t)), (lambda t: family(c % 2, conv, m, t))
-
-
 def beta(i, conv, m, n):
-    """Cover counts by the isolated-vertex sieve over `_beta_columns`."""
-    g, h = _beta_columns(i, conv, m)
-    return vertex_sieve(lambda j: (g if j == 0 else h)(n - j), n)
+    """Covers (columns 0..3) and covers with no common vertex, that is with
+    no singular vertex (4..7), by one sieve over s pinned vertices.
 
+    Column c = i mod 4 is read unpinned.  Pinned isolated vertices keep the
+    no-empty constraint and dissolve no-full: column c mod 2.  In columns
+    4..7 each pinned vertex may also be common: all common keep no-full
+    (column 2 (c // 2)), and the 2^s - 2 mixes dissolve both."""
+    c = i % 4
 
-def beta_41_closed(m, n):
-    """Direct closed form for ordered distinct-row covers with no singular
-    vertex: choose the singular columns (2 states each), distinct rows on the
-    rest."""
-    return vertex_sieve(lambda i: 2**i * falling(2 ** (n - i), m), n)
+    def pinned(s):
+        if s == 0:
+            return alpha(c, conv, m, n)
+        common = alpha(2 * (c // 2), conv, m, n - s) + (2**s - 2) * alpha(0, conv, m, n - s) if i > 3 else 0
+        return alpha(c % 2, conv, m, n - s) + common
+
+    return vertex_sieve(pinned, n)
 
 
 def beta_star(i, conv, m, n):
-    """Distinct-column covers: the signed-Stirling filtration of `beta`,
+    """Distinct-column covers: the signed-Stirling filtration of the
+    isolated-vertex sieve over `alpha` (columns 0..3) or `bar_alpha` (4..7),
     taken term by term.
 
+    With g(t) the family's column c = i mod 4 and h(t) its column c mod 2,
     beta(t) is the sieve sum_u (-1)^(t-u) C(t, u) h(u) plus the excess
     g(t) - h(t) of its unpinned term.  Filtering the sieve gives the cover
     shift of h, since sum_t s(n, t) (-1)^(t-u) C(t, u) = s(n+1, u+1), which
     follows from [x]_(n+1) = x [x-1]_n.  The excess is zero for columns 0,
     1, 4 and 5: they forbid no full edge, so pinning dissolves nothing.
     """
-    g, h = _beta_columns(i, conv, m)
-    return cover_transform(h, n) + t0_transform(lambda t: g(t) - h(t), n)
+    family, c = (alpha if i < 4 else bar_alpha), i % 4
+    return cover_transform(lambda t: family(c % 2, conv, m, t), n) + t0_transform(
+        lambda t: family(c, conv, m, t) - family(c % 2, conv, m, t), n
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ _register(
     "beta_41_closed",
     "singular-column sieve closed form sum (-1)^i C(n,i) 2^i [2^(n-i)]_m",
     spec=ClassSpec(row_convention=1, forbid_singular=True),
-    formula=F.beta_41_closed,
+    formula=partial(F.beta, 4, 1),
 )
 
 # minimal covers

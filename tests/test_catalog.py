@@ -6,7 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from brute_reference import brute_counts
@@ -69,6 +69,34 @@ def test_beta_star_examples():
     # the naive cross-table equality fails; (3, 4) is the first witness
     assert F.beta_star(1, 1, 3, 4) == 840
     assert F.beta_star(2, 1, 4, 3) == 768
+
+
+def test_beta_41_is_the_singular_column_closed_form():
+    # the reference of the registered beta_41_closed, written out: choose
+    # the i singular columns (all zero or all one), distinct rows on the rest
+    for m in range(11):
+        for n in range(13):
+            closed = sum((-1) ** i * comb(n, i) * 2**i * perm(2 ** (n - i), m) for i in range(n + 1))
+            assert F.beta(4, 1, m, n) == closed, (m, n)
+            assert resolve_class("beta_41_closed").evaluate(m, n) == closed, (m, n)
+
+
+def test_beta_is_one_flat_sieve(monkeypatch):
+    # one term per pinned-vertex count, each reading alpha at most three
+    # times; a sieve nested in the pinned terms makes about n^2 / 2 calls
+    alpha, calls = F.alpha, []
+
+    def counting_alpha(*args):
+        calls.append(args)
+        return alpha(*args)
+
+    monkeypatch.setattr(F, "alpha", counting_alpha)
+    for i in range(8):
+        for conv in range(1, 5):
+            for m, n in ((0, 3), (2, 0), (2, 1), (3, 5), (2, 12)):
+                calls.clear()
+                F.beta(i, conv, m, n)
+                assert calls and len(calls) <= 3 * n + 1, (i, conv, m, n, len(calls))
 
 
 def test_dual_cross_table_identity():
@@ -148,6 +176,21 @@ def test_omega_star_examples():
             assert F.omega_star(i, conv, 3, 1) == F.omega(i, conv, 3, 1)
     # only the plain connected table is symmetric; its starred version is not
     assert F.omega_star(1, 2, 2, 3) != F.omega_star(1, 2, 3, 2)
+
+
+def test_omega_star_no_common_vertex_columns_by_linearity():
+    # omega column i >= 4 is omega column i - 4 less beta column c plus
+    # beta column c + 4, and the filtration is linear; the even columns reach
+    # omega_star through `_row_copies` over the odd ones, a separate route.
+    # m = 0 is left out: beta_star columns 4..7 are off there (ROADMAP item 7)
+    for i in range(4, 8):
+        c = 0 if i < 6 else 2
+        for conv in range(1, 5):
+            for m in range(1, 9):
+                for n in range(1, 12):
+                    assert F.omega_star(i, conv, m, n) == (
+                        F.omega_star(i - 4, conv, m, n) - F.beta_star(c, conv, m, n) + F.beta_star(c + 4, conv, m, n)
+                    ), (i, conv, m, n)
 
 
 def test_omega_12_symmetry():

@@ -114,6 +114,15 @@ def test_verify_emits_errata_file(tmp_path):
     assert all(r["formula_value"] != r["oracle_value"] for r in records)
 
 
+def test_errata_ledger_4x4_is_pinned(tmp_path):
+    # the errata JSONL is the stable interface: the uncorrected 4 x 4 run
+    # rewrites the committed ledger byte for byte
+    path = tmp_path / "errata.jsonl"
+    code, _ = run_cli("verify", "--all", "--m-max", "4", "--n-max", "4", "--emit-errata", str(path))
+    assert code == 1
+    assert path.read_bytes() == (pathlib.Path(__file__).parent / "errata_4x4.jsonl").read_bytes()
+
+
 def test_unwritable_errata_path_is_bad_args_before_any_cell(tmp_path, monkeypatch, capsys):
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran before the errata file was opened")
