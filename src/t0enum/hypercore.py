@@ -1,16 +1,22 @@
 """Incidence matrices of labelled hypergraphs, class specs and the one
-truth table that decides class membership.
+compiled truth table that decides class membership.
 
 A hypergraph with m edges on n ordered vertices is stored as its m x n binary
 incidence matrix: row i is edge i, column j is vertex j.  Rows are Python int
 bitmasks with vertex j on bit j-1 (little-endian); this makes the multiset
 row order and all table outputs bit-exact reproducible.
 
-`_feature_record` computes a matrix's `MatrixFeatures`, `features_satisfy`
-evaluates a spec over them, and both the oracle and `satisfies` use only these.
+`_feature_record` computes a matrix's `MatrixFeatures`: 8 flags and the
+least and greatest size on each side.  `compile_spec` turns a spec into a
+mask over the flag bits and a size interval per side, once per spec.
+`features_satisfy` and `satisfies` read one record through it, and the
+oracle reads it over a cell's records grouped by their flag bits.
 """
 
 from dataclasses import dataclass
+from functools import cache
+from math import inf
+from typing import NamedTuple
 
 
 class MissingParameterError(ValueError):
@@ -99,13 +105,13 @@ class ClassSpec:
             object.__setattr__(self, "forbid_empty_edges", True)
 
 
-@dataclass(frozen=True)
-class MatrixFeatures:
-    """Per-matrix facts sufficient to evaluate any ClassSpec.
+class MatrixFeatures(NamedTuple):
+    """Per-matrix facts sufficient to evaluate any ClassSpec: the 8 flags,
+    then the least and greatest size on each side.
 
-    The oracle counts matrices per distinct feature record, so it can
-    evaluate many specs without re-scanning bit grids.  `_feature_record`
-    returns the fields as a plain tuple in this order:
+    The oracle counts matrices per distinct record, so it can evaluate many
+    specs without re-scanning bit grids.  `_feature_record` returns the
+    fields as a plain tuple in this order:
 
     * rows_distinct: no two edges are equal;
     * empty_edge, full_edge: some edge has no vertex, or every vertex;
@@ -117,7 +123,11 @@ class MatrixFeatures:
       intersecting edges.  Empty edges merge nothing, an isolated vertex
       with n >= 2 breaks it, and n = 1 is connected whatever the edges;
     * minimal: a cover that deleting any one edge uncovers;
-    * row_sizes, col_sizes: the sorted edge sizes and vertex degrees.
+    * row_min, row_max, col_min, col_max: the least and greatest edge size
+      and vertex degree.  A side with no member (m = 0 or n = 0) has the
+      empty min +inf and max -inf, so every size bound on it holds.
+
+    Flag i is bit i of the record's flag pattern (`_split_record`).
     """
 
     rows_distinct: bool
@@ -128,8 +138,20 @@ class MatrixFeatures:
     t0: bool
     connected: bool
     minimal: bool
-    row_sizes: tuple
-    col_sizes: tuple
+    row_min: int
+    row_max: int
+    col_min: int
+    col_max: int
+
+
+# Bits of a record's flag pattern, in `MatrixFeatures` field order.
+ROWS_DISTINCT, EMPTY_EDGE, FULL_EDGE, COVER, COMMON_VERTEX, T0, CONNECTED, MINIMAL = (1 << i for i in range(8))
+
+
+def _split_record(record):
+    """A feature record as its flag pattern, bit i set iff flag i holds, and
+    its sizes (row_min, row_max, col_min, col_max)."""
+    return sum(1 << i for i, flag in enumerate(record[:8]) if flag), record[8:]
 
 
 def matrix_features(matrix):
@@ -145,10 +167,12 @@ def _feature_record(rows, n, cols):
     of the columns: t0 is distinct columns, and minimal is a cover where
     every edge i has a private vertex, the column of edge i alone.  The
     oracle walk calls this directly, with columns it extends one row at a
-    time, and builds a `MatrixFeatures` only once per distinct record."""
+    time."""
     m = len(rows)
     col_set = set(cols)
     cover = 0 not in col_set
+    row_sizes = list(map(int.bit_count, rows))
+    col_sizes = list(map(int.bit_count, cols))
     return (
         len(set(rows)) == m,  # rows_distinct
         0 in rows,  # empty_edge
@@ -159,8 +183,10 @@ def _feature_record(rows, n, cols):
         len(col_set) == n,  # t0
         _connected(rows, n, cover),  # connected
         cover and all((1 << i) in col_set for i in range(m)),  # minimal
-        tuple(sorted(map(int.bit_count, rows))),  # row_sizes
-        tuple(sorted(map(int.bit_count, cols))),  # col_sizes
+        min(row_sizes, default=inf),
+        max(row_sizes, default=-inf),
+        min(col_sizes, default=inf),
+        max(col_sizes, default=-inf),
     )
 
 
@@ -190,38 +216,60 @@ def _connected(rows, n, cover):
     return len(components) == 1
 
 
+# (ClassSpec flag, feature bit, the value it requires); forbid_singular is
+# read through the cover and no-common-vertex flags it implies.
+_SPEC_FLAGS = (
+    ("require_t0", T0, True),
+    ("forbid_empty_edges", EMPTY_EDGE, False),
+    ("forbid_full_edges", FULL_EDGE, False),
+    ("require_cover", COVER, True),
+    ("forbid_intersecting", COMMON_VERTEX, False),
+    ("require_minimal_cover", MINIMAL, True),
+    ("require_connected", CONNECTED, True),
+)
+
+# The least size an at-most constraint allows; an exact one allows only k.
+_AT_MOST_LOWEST = {"at_most": 0, "at_most_cover": 1}
+
+
+@cache
+def compile_spec(spec):
+    """The one truth table of a spec, as `(mask, want, bounds)`.
+
+    A record meets the spec iff its flag pattern agrees with `want` on the
+    bits of `mask`, and, when `bounds = (row_lo, row_hi, col_lo, col_hi)`
+    is not None, every edge size lies in [row_lo, row_hi] and every vertex
+    degree in [col_lo, col_hi]: row_lo <= row_min, row_max <= row_hi, and
+    the same for the columns.  Exact k-uniformity is [k, k], at most k is
+    [0, k]; an exact k-cover is [k, k], an at-most k-cover [1, k]; a side
+    with no bound is [0, inf].  The row convention is not read: counting
+    adds the rows_distinct bit for conventions 1 and 3."""
+    mask = want = 0
+    for name, bit, required in _SPEC_FLAGS:
+        if getattr(spec, name):
+            mask |= bit
+            if required:
+                want |= bit
+    if spec.uniformity is None and spec.vertex_degree is None:
+        return mask, want, None
+    bounds = ()
+    for constraint in (spec.uniformity, spec.vertex_degree):
+        kind, k = constraint or ("at_most", inf)
+        bounds += (_AT_MOST_LOWEST.get(kind, k), k)
+    return mask, want, bounds
+
+
 def features_satisfy(features, spec):
     """True iff a matrix with these features meets every enabled constraint
-    of the spec (its row convention is not read)."""
-    f = features
-    if spec.require_t0 and not f.t0:
+    of the spec (its row convention is not read), read off `compile_spec`."""
+    mask, want, bounds = compile_spec(spec)
+    bits, (row_min, row_max, col_min, col_max) = _split_record(features)
+    if bits & mask != want:
         return False
-    if spec.forbid_empty_edges and f.empty_edge:
-        return False
-    if spec.forbid_full_edges and f.full_edge:
-        return False
-    if spec.require_cover and not f.cover:
-        return False
-    if spec.forbid_intersecting and f.common_vertex:
-        return False
-    if spec.require_minimal_cover and not f.minimal:
-        return False
-    if spec.require_connected and not f.connected:
-        return False
-    if spec.uniformity is not None:
-        kind, k = spec.uniformity
-        if kind == "exact" and any(s != k for s in f.row_sizes):
-            return False
-        if kind == "at_most" and f.row_sizes and f.row_sizes[-1] > k:
-            return False
-    if spec.vertex_degree is not None:
-        kind, k = spec.vertex_degree
-        if kind == "exact_cover" and any(d != k for d in f.col_sizes):
-            return False
-        # with no vertex (n = 0) a degree bound is vacuous
-        if kind == "at_most_cover" and f.col_sizes and (f.col_sizes[0] < 1 or f.col_sizes[-1] > k):
-            return False
-    return True
+    if bounds is None:
+        return True
+    row_lo, row_hi, col_lo, col_hi = bounds
+    return row_lo <= row_min and row_max <= row_hi and col_lo <= col_min and col_max <= col_hi
 
 
 def satisfies(matrix, spec):

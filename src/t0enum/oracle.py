@@ -4,15 +4,15 @@ The oracle is the referee for every catalog formula: it counts the (m, n)
 matrices of the spec's row convention that satisfy the spec.
 
 Every `MatrixFeatures` field is invariant under reordering the rows, and
-under reordering the columns too: `row_sizes` and `col_sizes` are sorted,
-and every other field is a property of the set of rows or of the set of
-columns.  So per (m, n) the oracle walks the narrow side, the rows iff
-n <= m: k codes of w bits, w <= k.  Permuting the other side's w members
-permutes the bits of every code, so it keeps one multiset of k codes per
-orbit of those w! bit permutations (orderly generation: R. C. Read, "Every
-one a winner", Ann. Discrete Math. 2, 1978) and counts its feature record
-once, weighted by the size of its orbit (Harary & Palmer, Graphical
-Enumeration, 1973, ch. 2):
+under reordering the columns too: each is a property of the set of rows or
+of the set of columns, or the least or greatest size on one side.  So per
+(m, n) the oracle walks the narrow side, the rows iff n <= m: k codes of w
+bits, w <= k.  Permuting the other side's w members permutes the bits of
+every code, so it keeps one multiset of k codes per orbit of those w! bit
+permutations (orderly generation: R. C. Read, "Every one a winner", Ann.
+Discrete Math. 2, 1978) and counts its feature record once, weighted by
+the size of its orbit (Harary & Palmer, Graphical Enumeration, 1973,
+ch. 2):
 
 * 'ordered' (all matrices, read by conventions 1 and 2) weighs a leaf
   (w!/|Stab|) * k!/prod(mult!), its multisets' orders summed over the
@@ -32,15 +32,19 @@ through canonical prefixes only.  Each step carries the codes of the other
 side for the current prefix (walked code i owns bit i of every carried
 code) and its running prod(mult!) denominator; no leaf rebuilds either.
 Leaves are counted as plain feature tuples (`hypercore._feature_record`,
-given the rows and the columns in their true roles), and each distinct
-tuple becomes one `MatrixFeatures` when the walk ends.
+given the rows and the columns in their true roles): 8 flags and the least
+and greatest size on each side, the 12 facts a spec reads.  When the walk
+ends, each kind's records are grouped by their flag bits, each group with
+its total weight.
 
-Evaluating a spec then only walks the (much smaller) set of distinct
-feature records.  The tests check the feature records and
+A spec is read once through `hypercore.compile_spec`, a mask over the flag
+bits and a size interval per side.  A spec with no size bound adds the
+total of every group whose flag pattern it admits; one with a bound scans
+the records of those groups only.  The tests check the feature records and
 `features_satisfy` against the literal definitions of the class properties,
-pin the counts and both Counters, from either side, to a plain enumeration
-of all ordered matrices, and pin the number of leaves to Burnside's count
-of orbits, so the fast path cannot drift.
+pin the counts of fixed and random specs and both Counters, from either
+side, to a plain enumeration of all ordered matrices, and pin the number of
+leaves to Burnside's count of orbits, so the fast path cannot drift.
 """
 
 from collections import Counter
@@ -50,7 +54,7 @@ from itertools import permutations
 from math import comb, factorial, prod
 
 from .exactmath import BudgetExceededError
-from .hypercore import MatrixFeatures, _feature_record, features_satisfy
+from .hypercore import ROWS_DISTINCT, _feature_record, _split_record, compile_spec
 
 
 @dataclass(frozen=True)
@@ -75,40 +79,53 @@ class OracleBudget:
     def check(self, convention, m, n):
         if max(m, n) > self.max_cells:
             raise BudgetExceededError(f"max(m, n) = {max(m, n)} exceeds max_cells = {self.max_cells}", m=m, n=n)
-        side, k, width = "row", m, n
-        leaves = comb(2**n + m - 1, m)
-        if _KIND[convention] == "ordered" and comb(2**m + n - 1, n) < leaves:
-            side, k, width, leaves = "column", n, m, comb(2**m + n - 1, n)
-        # The count is compared by bit length and never printed, so a huge
-        # cap builds no power of two and a huge count is never formatted.
-        if (leaves - 1).bit_length() > self.max_cells:  # leaves > 2**max_cells
+        side, k, width, bits = _walk_price(_KIND[convention], m, n)
+        if bits > self.max_cells:  # leaves > 2**max_cells
             raise BudgetExceededError(
                 f"C(2**{width} + {k} - 1, {k}) {side} multisets exceed 2**{self.max_cells}", m=m, n=n
             )
 
 
+@cache
+def _walk_price(kind, m, n):
+    """The plain multiset walk `OracleBudget.check` prices, once per cell:
+    (side, k, width, bit length of leaves - 1).  The leaves are compared by
+    bit length and never printed, so a huge cap builds no power of two and
+    a huge count is never formatted."""
+    side, k, width = "row", m, n
+    leaves = comb(2**n + m - 1, m)
+    if kind == "ordered" and comb(2**m + n - 1, n) < leaves:
+        side, k, width, leaves = "column", n, m, comb(2**m + n - 1, n)
+    return side, k, width, (leaves - 1).bit_length()
+
+
 DEFAULT_BUDGET = OracleBudget()
 
-# The Counter a row convention reads.
+# The records a row convention reads.
 _KIND = {1: "ordered", 2: "ordered", 3: "multisets", 4: "multisets"}
 
-# (kind, m, n) -> Counter of MatrixFeatures, kind in 'ordered', 'multisets';
-# one walk fills both kinds of a cell.
+# (kind, m, n) -> {flag pattern: (total weight, Counter of (row_min,
+# row_max, col_min, col_max))}, kind in 'ordered', 'multisets': the cell's
+# feature records grouped by their flag bits (`hypercore._split_record`).
+# One walk fills both kinds of a cell.
 _FEATURE_CACHE = {}
 
 
-def _feature_counter(kind, m, n):
-    """Counter of MatrixFeatures over the (m, n) matrices of one kind,
-    weighted as in the module docstring.  One walk of the narrow side fills
-    both kinds of the cell."""
+def _feature_groups(kind, m, n):
+    """The (m, n) cell's feature records of one kind, weighted as in the
+    module docstring and grouped by flag pattern.  One walk of the narrow
+    side fills both kinds of the cell."""
     key = (kind, m, n)
     hit = _FEATURE_CACHE.get(key)
     if hit is not None:
         return hit
     multisets, ordered = _walk_multisets(m, n, "rows" if n <= m else "columns")
-    features = {record: MatrixFeatures(*record) for record in ordered}
-    _FEATURE_CACHE[("ordered", m, n)] = Counter({features[r]: c for r, c in ordered.items()})
-    _FEATURE_CACHE[("multisets", m, n)] = Counter({features[r]: c for r, c in multisets.items()})
+    for kind_here, records in (("ordered", ordered), ("multisets", multisets)):
+        groups = {}
+        for record, weight in records.items():
+            bits, sizes = _split_record(record)
+            groups.setdefault(bits, Counter())[sizes] += weight
+        _FEATURE_CACHE[(kind_here, m, n)] = {bits: (sum(c.values()), c) for bits, c in groups.items()}
     return _FEATURE_CACHE[key]
 
 
@@ -200,23 +217,32 @@ def count(spec, m, n, budget=DEFAULT_BUDGET):
     """Exact number of labelled (m, n)-hypergraphs in the class.
 
     One orbit-weighted walk serves every convention: convention 2 reads the
-    'ordered' counter (all 2**(m*n) matrices), convention 4 the 'multisets'
-    counter (all row multisets), and conventions 1 and 3 the same counters
-    restricted to pairwise-distinct rows.
+    'ordered' records (all 2**(m*n) matrices), convention 4 the 'multisets'
+    records (all row multisets), and conventions 1 and 3 the same records
+    restricted to pairwise-distinct rows.  The spec is read through
+    `compile_spec`: a group of records whose flag pattern it admits adds
+    its total weight, or, when the spec bounds sizes, the weight of its
+    records within the bounds.
     """
     if m < 1 or n < 1:
         raise ValueError("oracle counts need m >= 1 and n >= 1")
     conv = spec.row_convention
     budget.check(conv, m, n)
-    counter = _feature_counter(_KIND[conv], m, n)
-    distinct_rows = conv in (1, 3)
-    total = 0
-    for feats, mult in counter.items():
-        if distinct_rows and not feats.rows_distinct:
-            continue
-        if features_satisfy(feats, spec):
-            total += mult
-    return total
+    mask, want, bounds = compile_spec(spec)
+    if conv in (1, 3):
+        mask |= ROWS_DISTINCT
+        want |= ROWS_DISTINCT
+    groups = _feature_groups(_KIND[conv], m, n).items()
+    if bounds is None:
+        return sum(total for bits, (total, _) in groups if bits & mask == want)
+    row_lo, row_hi, col_lo, col_hi = bounds
+    return sum(
+        weight
+        for bits, (_, sizes) in groups
+        if bits & mask == want
+        for (row_min, row_max, col_min, col_max), weight in sizes.items()
+        if row_lo <= row_min and row_max <= row_hi and col_lo <= col_min and col_max <= col_hi
+    )
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ bitmasks (vertex j on bit j), and share no code with `t0enum.hypercore`:
 T0 checks every pair of vertices for a separating edge, connectivity is
 reachability from vertex 0, and a minimal cover stops being a cover when any
 one edge is deleted.  `literal_features` assembles them into the package's
-`MatrixFeatures` record type, and `satisfies` tests a spec against them
-directly.
+`MatrixFeatures` record type, each side's sizes as their least and greatest,
+and `satisfies` tests a spec against them directly.  `random_spec` draws the
+specs that pin the package's compiled truth table to `satisfies`.
 
 Every counter enumerates every ordered (m, n) matrix with `itertools.product`
 and applies the row conventions as written: 1 pairwise-distinct rows, 2 every
@@ -19,11 +20,11 @@ pin.  `partition_sum` is inclusion-exclusion over every set partition, and
 
 from collections import Counter
 from itertools import combinations, product
-from math import factorial
+from math import factorial, inf
 
 from conftest import brute_set_partitions
 
-from t0enum.hypercore import MatrixFeatures
+from t0enum.hypercore import ClassSpec, MatrixFeatures
 
 
 def vertex_set(n):
@@ -105,8 +106,11 @@ def literal_features(rows, n):
         t0=is_t0(rows, n),
         connected=is_connected(rows, n),
         minimal=is_minimal_cover(rows, n),
-        row_sizes=tuple(sorted(r.bit_count() for r in rows)),
-        col_sizes=tuple(sorted(degree(rows, v) for v in range(n))),
+        # the empty min is +inf and the empty max -inf
+        row_min=min((r.bit_count() for r in rows), default=inf),
+        row_max=max((r.bit_count() for r in rows), default=-inf),
+        col_min=min((degree(rows, v) for v in range(n)), default=inf),
+        col_max=max((degree(rows, v) for v in range(n)), default=-inf),
     )
 
 
@@ -142,6 +146,27 @@ def satisfies(rows, n, spec):
             if not 1 <= d <= k or (kind == "exact_cover" and d != k):
                 return False
     return True
+
+
+def random_spec(rng):
+    """A spec with random flags, size bounds k in 1..3 and row convention."""
+    uniformity = rng.choice([None, ("exact", rng.randint(1, 3)), ("at_most", rng.randint(1, 3))])
+    vertex_degree = rng.choice(
+        [None, ("exact_cover", rng.randint(1, 3)), ("at_most_cover", rng.randint(1, 3))]
+    )
+    return ClassSpec(
+        row_convention=rng.randint(1, 4),
+        forbid_empty_edges=rng.random() < 0.4,
+        forbid_full_edges=rng.random() < 0.4,
+        require_cover=rng.random() < 0.4,
+        forbid_intersecting=rng.random() < 0.3,
+        forbid_singular=rng.random() < 0.2,
+        require_connected=rng.random() < 0.3,
+        require_minimal_cover=rng.random() < 0.2,
+        require_t0=rng.random() < 0.5,
+        uniformity=uniformity,
+        vertex_degree=vertex_degree,
+    )
 
 
 def transpose(rows, n):

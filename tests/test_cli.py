@@ -123,6 +123,13 @@ def test_errata_ledger_4x4_is_pinned(tmp_path):
     assert path.read_bytes() == (pathlib.Path(__file__).parent / "errata_4x4.jsonl").read_bytes()
 
 
+def test_corrected_verify_4x4_is_pinned():
+    # every class line of the corrected 4 x 4 run, byte for byte
+    code, text = run_cli("verify", "--all", "--m-max", "4", "--n-max", "4", "--errata-corrected")
+    assert code == 0
+    assert text.encode() == (pathlib.Path(__file__).parent / "verify_4x4_corrected.txt").read_bytes()
+
+
 def test_unwritable_errata_path_is_bad_args_before_any_cell(tmp_path, monkeypatch, capsys):
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran before the errata file was opened")

@@ -124,7 +124,7 @@ def test_predicate_duality_exhaustive():
                 assert f.empty_edge == (not d.cover)
                 assert f.common_vertex == d.full_edge
                 assert f.t0 == d.rows_distinct
-                assert (f.row_sizes, f.col_sizes) == (d.col_sizes, d.row_sizes)
+                assert (f.row_min, f.row_max, f.col_min, f.col_max) == (d.col_min, d.col_max, d.row_min, d.row_max)
                 for degree_spec, size_spec in spec_pairs:
                     assert features_satisfy(f, degree_spec) == features_satisfy(d, size_spec)
 
@@ -148,31 +148,11 @@ def test_connected_implies_cover_and_intersecting_cover_is_connected():
                     assert f.connected
 
 
-def _random_spec(rng):
-    uniformity = rng.choice([None, ("exact", rng.randint(1, 3)), ("at_most", rng.randint(1, 3))])
-    degree = rng.choice(
-        [None, ("exact_cover", rng.randint(1, 3)), ("at_most_cover", rng.randint(1, 3))]
-    )
-    return ClassSpec(
-        row_convention=rng.randint(1, 4),
-        forbid_empty_edges=rng.random() < 0.4,
-        forbid_full_edges=rng.random() < 0.4,
-        require_cover=rng.random() < 0.4,
-        forbid_intersecting=rng.random() < 0.3,
-        forbid_singular=rng.random() < 0.2,
-        require_connected=rng.random() < 0.3,
-        require_minimal_cover=rng.random() < 0.2,
-        require_t0=rng.random() < 0.5,
-        uniformity=uniformity,
-        vertex_degree=degree,
-    )
-
-
 def test_features_agree_with_satisfies():
     # the package's one truth table against the literal definitions: every
     # feature field, and every spec read through it
     rng = random.Random(2024)
-    specs = [_random_spec(rng) for _ in range(40)]
+    specs = [literal.random_spec(rng) for _ in range(40)]
     for m in range(1, 4):
         for n in range(1, 4):
             for mat in all_matrices(m, n):

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from brute_reference import brute_counts, count_dual, feature_counters
+from brute_reference import brute_counts, count_dual, feature_counters, random_spec
 
 from t0enum import oracle
 from t0enum.exactmath import falling, stirling2
@@ -51,6 +51,20 @@ def test_count_matches_direct_filter():
                 assert got == by_convention, (spec, m, n)
 
 
+def test_count_matches_direct_filter_for_random_specs():
+    # the compiled spec (flag mask, size intervals, the rows_distinct bit of
+    # conventions 1 and 3) against a literal enumeration, for random specs
+    # in every convention, on every cell with m*n <= 9
+    rng = random.Random(2770)
+    specs = [random_spec(rng) for _ in range(40)]
+    for m in range(1, 10):
+        for n in range(1, 9 // m + 1):
+            expected = brute_counts(specs, m, n)
+            for spec, by_convention in zip(specs, expected):
+                got = [count(replace(spec, row_convention=c), m, n) for c in (1, 2, 3, 4)]
+                assert got == by_convention, (spec, m, n)
+
+
 def _features(records):
     return Counter({MatrixFeatures(*record): c for record, c in records.items()})
 
@@ -88,7 +102,7 @@ def test_ordered_request_walks_the_cheaper_side(monkeypatch):
                     return walk(m, n, side)
 
                 monkeypatch.setattr(oracle, "_walk_multisets", recorded)
-                counter = oracle._feature_counter(first, m, n)
+                groups = oracle._feature_groups(first, m, n)
                 assert sides == ["rows" if n <= m else "columns"]
                 assert set(oracle._FEATURE_CACHE) == {("ordered", m, n), ("multisets", m, n)}
 
@@ -96,8 +110,8 @@ def test_ordered_request_walks_the_cheaper_side(monkeypatch):
                     raise AssertionError("walked twice")
 
                 monkeypatch.setattr(oracle, "_walk_multisets", no_walk)
-                other = oracle._feature_counter(second, m, n)
-                assert oracle._FEATURE_CACHE == {(first, m, n): counter, (second, m, n): other}
+                other = oracle._feature_groups(second, m, n)
+                assert oracle._FEATURE_CACHE == {(first, m, n): groups, (second, m, n): other}
 
 
 def _burnside_orbits(k, width):
