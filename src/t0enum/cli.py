@@ -245,8 +245,8 @@ def cmd_egf_check(args, out):
 
 
 _MAX_CELLS_HELP = (
-    "the oracle cap (default 20, or T0ENUM_BUDGET_CELLS): a walk may hold at most"
-    " MAX_CELLS codes of at most MAX_CELLS bits per leaf and at most 2^MAX_CELLS leaves"
+    "the oracle cap (default 20, or T0ENUM_BUDGET_CELLS): a walk takes the narrow side, with at most"
+    " MAX_CELLS codes of at most MAX_CELLS bits per leaf and at most 2^MAX_CELLS multisets of it"
 )
 
 

@@ -228,9 +228,6 @@ _SPEC_FLAGS = (
     ("require_connected", CONNECTED, True),
 )
 
-# The least size an at-most constraint allows; an exact one allows only k.
-_AT_MOST_LOWEST = {"at_most": 0, "at_most_cover": 1}
-
 
 @cache
 def compile_spec(spec):
@@ -241,9 +238,10 @@ def compile_spec(spec):
     is not None, every edge size lies in [row_lo, row_hi] and every vertex
     degree in [col_lo, col_hi]: row_lo <= row_min, row_max <= row_hi, and
     the same for the columns.  Exact k-uniformity is [k, k], at most k is
-    [0, k]; an exact k-cover is [k, k], an at-most k-cover [1, k]; a side
-    with no bound is [0, inf].  The row convention is not read: counting
-    adds the rows_distinct bit for conventions 1 and 3."""
+    [0, k]; a cover kind puts every vertex in some edge, so an exact k-cover
+    is [max(k, 1), k] and an at-most k-cover [1, k]; a side with no bound is
+    [0, inf].  The row convention is not read: counting adds the
+    rows_distinct bit for conventions 1 and 3."""
     mask = want = 0
     for name, bit, required in _SPEC_FLAGS:
         if getattr(spec, name):
@@ -255,7 +253,8 @@ def compile_spec(spec):
     bounds = ()
     for constraint in (spec.uniformity, spec.vertex_degree):
         kind, k = constraint or ("at_most", inf)
-        bounds += (_AT_MOST_LOWEST.get(kind, k), k)
+        floor = 1 if kind.endswith("_cover") else 0
+        bounds += (max(k, floor) if kind.startswith("exact") else floor, k)
     return mask, want, bounds
 
 

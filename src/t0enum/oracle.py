@@ -6,13 +6,13 @@ matrices of the spec's row convention that satisfy the spec.
 Every `MatrixFeatures` field is invariant under reordering the rows, and
 under reordering the columns too: each is a property of the set of rows or
 of the set of columns, or the least or greatest size on one side.  So per
-(m, n) the oracle walks the narrow side, the rows iff n <= m: k codes of w
-bits, w <= k.  Permuting the other side's w members permutes the bits of
-every code, so it keeps one multiset of k codes per orbit of those w! bit
-permutations (orderly generation: R. C. Read, "Every one a winner", Ann.
-Discrete Math. 2, 1978) and counts its feature record once, weighted by
-the size of its orbit (Harary & Palmer, Graphical Enumeration, 1973,
-ch. 2):
+(m, n) the oracle walks the narrow side, the rows iff n <= m, whatever the
+convention, and `OracleBudget` prices that walk: k codes of w bits, w <= k.
+Permuting the other side's w members permutes the bits of every code, so it
+keeps one multiset of k codes per orbit of those w! bit permutations
+(orderly generation: R. C. Read, "Every one a winner", Ann. Discrete Math.
+2, 1978) and counts its feature record once, weighted by the size of its
+orbit (Harary & Palmer, Graphical Enumeration, 1973, ch. 2):
 
 * 'ordered' (all matrices, read by conventions 1 and 2) weighs a leaf
   (w!/|Stab|) * k!/prod(mult!), its multisets' orders summed over the
@@ -59,16 +59,15 @@ from .hypercore import ROWS_DISTINCT, _feature_record, _split_record, compile_sp
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """The one enumeration cap, shared by every oracle call.  A walk may
-    hold at most max_cells codes of at most max_cells bits per leaf, which
-    bounds the work per leaf and is checked before any binomial is built,
-    so max(m, n) <= max_cells.  It may also have at most 2**max_cells
-    leaves, priced as the plain multiset walk: the C(2**n + m - 1, m) row
-    multisets, or for an ordered cell the C(2**m + n - 1, n) column
-    multisets when they are strictly fewer.  Each orbit holds at least one
-    multiset of either side, so this bounds the orbit walk's leaves.  At
-    the default cap every admitted walk has codes of at most 5 bits, so at
-    most 5! = 120 permutations to test per step."""
+    """The one enumeration cap, shared by every oracle call.  Whatever the
+    row convention, a walk takes the narrow side of its cell
+    (`_walked_side`): k codes of `width` bits.  Both are at most max_cells,
+    so max(m, n) <= max_cells, checked before any binomial is built; this
+    bounds the work per leaf.  And the side's C(2**width + k - 1, k) plain
+    multisets are at most 2**max_cells; each orbit holds at least one, so
+    this bounds the walk's leaves.  At the default cap every admitted walk
+    has codes of at most 5 bits, so at most 5! = 120 permutations to test
+    per step."""
 
     max_cells: int = 20
 
@@ -76,27 +75,28 @@ class OracleBudget:
         if self.max_cells < 1:
             raise ValueError("budget cap out of range: need max_cells >= 1")
 
-    def check(self, convention, m, n):
+    def check(self, m, n):
         if max(m, n) > self.max_cells:
             raise BudgetExceededError(f"max(m, n) = {max(m, n)} exceeds max_cells = {self.max_cells}", m=m, n=n)
-        side, k, width, bits = _walk_price(_KIND[convention], m, n)
-        if bits > self.max_cells:  # leaves > 2**max_cells
+        side, k, width, bits = _walk_price(m, n)
+        if bits > self.max_cells:  # multisets > 2**max_cells
             raise BudgetExceededError(
-                f"C(2**{width} + {k} - 1, {k}) {side} multisets exceed 2**{self.max_cells}", m=m, n=n
+                f"C(2**{width} + {k} - 1, {k}) multisets of {side} exceed 2**{self.max_cells}", m=m, n=n
             )
 
 
+def _walked_side(m, n):
+    """The narrow side of the (m, n) cell, which its walk takes: the rows iff n <= m, as (side, k codes, width)."""
+    return ("rows", m, n) if n <= m else ("columns", n, m)
+
+
 @cache
-def _walk_price(kind, m, n):
-    """The plain multiset walk `OracleBudget.check` prices, once per cell:
-    (side, k, width, bit length of leaves - 1).  The leaves are compared by
-    bit length and never printed, so a huge cap builds no power of two and
-    a huge count is never formatted."""
-    side, k, width = "row", m, n
-    leaves = comb(2**n + m - 1, m)
-    if kind == "ordered" and comb(2**m + n - 1, n) < leaves:
-        side, k, width, leaves = "column", n, m, comb(2**m + n - 1, n)
-    return side, k, width, (leaves - 1).bit_length()
+def _walk_price(m, n):
+    """`OracleBudget.check`'s price of a cell: (side, k, width, bit length
+    of the side's plain multisets - 1), never printed, so a huge cap builds
+    no power of two and a huge count is never formatted."""
+    side, k, width = _walked_side(m, n)
+    return side, k, width, (comb(2**width + k - 1, k) - 1).bit_length()
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -119,7 +119,7 @@ def _feature_groups(kind, m, n):
     hit = _FEATURE_CACHE.get(key)
     if hit is not None:
         return hit
-    multisets, ordered = _walk_multisets(m, n, "rows" if n <= m else "columns")
+    multisets, ordered = _walk_multisets(m, n, _walked_side(m, n)[0])
     for kind_here, records in (("ordered", ordered), ("multisets", multisets)):
         groups = {}
         for record, weight in records.items():
@@ -227,7 +227,7 @@ def count(spec, m, n, budget=DEFAULT_BUDGET):
     if m < 1 or n < 1:
         raise ValueError("oracle counts need m >= 1 and n >= 1")
     conv = spec.row_convention
-    budget.check(conv, m, n)
+    budget.check(m, n)
     mask, want, bounds = compile_spec(spec)
     if conv in (1, 3):
         mask |= ROWS_DISTINCT

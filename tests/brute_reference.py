@@ -149,10 +149,10 @@ def satisfies(rows, n, spec):
 
 
 def random_spec(rng):
-    """A spec with random flags, size bounds k in 1..3 and row convention."""
-    uniformity = rng.choice([None, ("exact", rng.randint(1, 3)), ("at_most", rng.randint(1, 3))])
+    """A spec with random flags, size bounds k in 0..3 and row convention."""
+    uniformity = rng.choice([None, ("exact", rng.randint(0, 3)), ("at_most", rng.randint(0, 3))])
     vertex_degree = rng.choice(
-        [None, ("exact_cover", rng.randint(1, 3)), ("at_most_cover", rng.randint(1, 3))]
+        [None, ("exact_cover", rng.randint(0, 3)), ("at_most_cover", rng.randint(0, 3))]
     )
     return ClassSpec(
         row_convention=rng.randint(1, 4),

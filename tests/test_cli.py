@@ -124,10 +124,14 @@ def test_errata_ledger_4x4_is_pinned(tmp_path):
 
 
 def test_corrected_verify_4x4_is_pinned():
-    # every class line of the corrected 4 x 4 run, byte for byte
-    code, text = run_cli("verify", "--all", "--m-max", "4", "--n-max", "4", "--errata-corrected")
-    assert code == 0
-    assert text.encode() == (pathlib.Path(__file__).parent / "verify_4x4_corrected.txt").read_bytes()
+    # every class line of the corrected 4 x 4 run, byte for byte, and of the
+    # 5 x 5 run, whose default 6 unordered rows skip the (6, 5) cell: a
+    # change of the oracle budget shows here
+    for size in ("4", "5"):
+        code, text = run_cli("verify", "--all", "--m-max", size, "--n-max", size, "--errata-corrected")
+        assert code == 0
+        pinned = pathlib.Path(__file__).parent / f"verify_{size}x{size}_corrected.txt"
+        assert text.encode() == pinned.read_bytes(), size
 
 
 def test_unwritable_errata_path_is_bad_args_before_any_cell(tmp_path, monkeypatch, capsys):
@@ -413,6 +417,15 @@ def test_ordered_cell_beyond_the_former_product_cap_walks_its_columns(monkeypatc
 def test_unordered_cell_beyond_the_former_universe_cap():
     # 2^7 > 64 single-row multisets, once refused by a separate 2^n cap
     assert run_cli("oracle", "--class", "alpha_04", "--m", "1", "--n", "7") == (0, "128\n")
+
+
+def test_wide_unordered_cell_is_priced_at_the_columns_it_walks():
+    # C(258, 3) row multisets exceed 2^20, but the walk takes the 8 columns:
+    # C(15, 8) = 6,435 column multisets, 1,324 orbits
+    assert run_cli("oracle", "--class", "alpha_04", "--m", "3", "--n", "8") == (0, "2829056\n")
+    code, text = run_cli("verify", "--class", "omega_13", "--m-max", "3", "--n-max", "8")
+    assert code == 0
+    assert text.splitlines()[0] == "ok       omega_13: 24 cells"
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from brute_reference import brute_counts, count_dual, feature_counters, random_s
 
 from t0enum import oracle
 from t0enum.exactmath import falling, stirling2
-from t0enum.hypercore import ClassSpec, MatrixFeatures
+from t0enum.hypercore import ClassSpec, MatrixFeatures, _feature_record
 from t0enum.oracle import BudgetExceededError, OracleBudget, count, verify_grid
 
 T0 = ClassSpec(row_convention=2, require_t0=True)
@@ -33,6 +33,8 @@ REFERENCE_SPECS = [
     ClassSpec(require_cover=True, forbid_full_edges=True),
     ClassSpec(uniformity=("exact", 2), vertex_degree=("exact_cover", 2)),
     ClassSpec(require_t0=True, forbid_singular=True, uniformity=("at_most", 2)),
+    # a cover kind puts every vertex in some edge: no matrix has degree 0
+    ClassSpec(vertex_degree=("exact_cover", 0)),
 ]
 
 
@@ -137,34 +139,46 @@ def _burnside_orbits(k, width):
     return total // math.factorial(width)
 
 
-def test_orbit_walk_visits_one_leaf_per_orbit_with_the_full_weight(monkeypatch):
-    # every cell the default budget admits (for the ordered conventions,
-    # which price the cheaper side) with max(m, n) <= 6: one leaf per
-    # orbit of the narrow side's multisets (Burnside's count), and weights
-    # summing to all 2**(m*n) matrices and all C(2**n + m - 1, m) row
-    # multisets
+def _check_orbit_walk(monkeypatch, m, n):
+    # one leaf per orbit of the narrow side's multisets (Burnside's count),
+    # and weights summing to all 2**(m*n) matrices and all
+    # C(2**n + m - 1, m) row multisets
     leaves = [0]
-    record = oracle._feature_record
 
     def counted(*args):
         leaves[0] += 1
-        return record(*args)
+        return _feature_record(*args)
 
     monkeypatch.setattr(oracle, "_feature_record", counted)
+    multisets, ordered = oracle._walk_multisets(m, n, "rows" if n <= m else "columns")
+    assert leaves[0] == _burnside_orbits(max(m, n), min(m, n)), (m, n)
+    assert sum(ordered.values()) == 2 ** (m * n), (m, n)
+    assert sum(multisets.values()) == math.comb(2**n + m - 1, m), (m, n)
+    return leaves[0]
+
+
+def test_orbit_walk_visits_one_leaf_per_orbit_with_the_full_weight(monkeypatch):
+    # every cell the default budget admits with max(m, n) <= 6
     cells = 0
     for m in range(1, 7):
         for n in range(1, 7):
             try:
-                oracle.DEFAULT_BUDGET.check(2, m, n)
+                oracle.DEFAULT_BUDGET.check(m, n)
             except BudgetExceededError:
                 continue
             cells += 1
-            leaves[0] = 0
-            multisets, ordered = oracle._walk_multisets(m, n, "rows" if n <= m else "columns")
-            assert leaves[0] == _burnside_orbits(max(m, n), min(m, n)), (m, n)
-            assert sum(ordered.values()) == 2 ** (m * n), (m, n)
-            assert sum(multisets.values()) == math.comb(2**n + m - 1, m), (m, n)
+            _check_orbit_walk(monkeypatch, m, n)
     assert cells == 33
+
+
+@pytest.mark.parametrize("m, n, orbits", [(3, 8, 1324), (4, 7, 9343)])
+def test_wide_cells_walk_their_columns_for_every_convention(monkeypatch, m, n, orbits):
+    # the budget prices the walked side whatever the convention, so these
+    # cells are admitted for the unordered conventions too, though their
+    # C(2**n + m - 1, m) row multisets exceed 2**20
+    assert math.comb(2**n + m - 1, m) > 2**20
+    oracle.DEFAULT_BUDGET.check(m, n)
+    assert _check_orbit_walk(monkeypatch, m, n) == orbits
 
 
 def test_count_conventions_3_and_4():
@@ -258,14 +272,17 @@ def test_monotone_filtering():
 
 def test_budget_enforcement():
     # one rule for every convention: no code count or code width above
-    # max_cells, then at most 2^max_cells leaves in the walk that runs
+    # max_cells, then at most 2^max_cells multisets of the side the walk takes
     tight = OracleBudget(max_cells=6)
     with pytest.raises(BudgetExceededError, match="max_cells = 6"):
         count(T0, 1, 7, budget=tight)  # 8 column multisets, 7 codes in each
     with pytest.raises(BudgetExceededError, match=r"exceed 2\*\*6"):
         count(T0, 3, 3, budget=tight)  # 120 multisets on either side
-    with pytest.raises(BudgetExceededError, match=r"exceed 2\*\*5"):
-        count(ClassSpec(row_convention=4), 2, 3, budget=OracleBudget(max_cells=5))  # 36 leaves
+    with pytest.raises(BudgetExceededError, match=r"exceed 2\*\*4"):
+        count(ClassSpec(row_convention=4), 3, 2, budget=OracleBudget(max_cells=4))  # 20 row multisets
+    # whatever the convention, (2, 3) walks its 3 columns: 20 <= 2^5 column
+    # multisets, though it has 36 row multisets
+    assert count(ClassSpec(row_convention=4), 2, 3, budget=OracleBudget(max_cells=5)) == math.comb(9, 2)
     assert count(ClassSpec(row_convention=4), 2, 3, budget=tight) == math.comb(9, 2)
     assert count(T0, 2, 3, budget=tight) == falling(4, 3)
 
@@ -335,9 +352,9 @@ def test_verify_budget_above_the_default_checks_wider_cells():
 )
 def test_default_budget_accepts_the_cells_of_the_former_caps(conventions, m, n):
     # cells within the former m*n <= 20 (ordered) and 2^n <= 64 (unordered)
-    # caps; the check runs no walk
-    for conv in conventions:
-        oracle.DEFAULT_BUDGET.check(conv, m, n)
+    # caps, the conventions naming the cap; the check reads no convention
+    # and runs no walk
+    oracle.DEFAULT_BUDGET.check(m, n)
 
 
 @pytest.mark.parametrize(
