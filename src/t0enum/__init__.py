@@ -6,12 +6,11 @@ certified against a brute-force oracle on small grids.
 """
 
 from . import catalog, exactmath, hypercore, oracle, transforms
-from .hypercore import ClassSpec, IncidenceMatrix
+from .hypercore import ClassSpec
 from .oracle import OracleBudget
 
 __all__ = [
     "ClassSpec",
-    "IncidenceMatrix",
     "OracleBudget",
     "catalog",
     "exactmath",

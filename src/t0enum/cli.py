@@ -11,14 +11,13 @@ to one, and prints it as one `error:` line (exit 5 prints its traceback):
   cell was over budget), 5 internal error (an uncaught exception;
   traceback on stderr).
 
-Only `oracle` and `verify` walk the oracle and take `--max-cells` (or
-T0ENUM_BUDGET_CELLS); `table` and `sequence` meet only the formula caps.
+Only `oracle` and `verify` walk the oracle and take `--max-cells`; `table`
+and `sequence` meet only the formula caps.
 """
 
 import argparse
 import contextlib
 import json
-import os
 import sys
 import traceback
 
@@ -73,14 +72,6 @@ def _int_in(lo, hi=None):
     return parse
 
 
-def _budget_from_args(args):
-    max_cells = args.max_cells or os.environ.get("T0ENUM_BUDGET_CELLS") or OracleBudget.max_cells
-    try:
-        return OracleBudget(max_cells=int(max_cells))
-    except ValueError as exc:
-        raise CliError(f"bad budget: {exc}")
-
-
 def _resolve_with_k(class_id, k):
     """The entry of class_id; one that takes k needs it before any cell
     runs, even if none would (sequence --limit 0) or it has no formula."""
@@ -121,7 +112,7 @@ def cmd_table(args, out):
 
 def cmd_oracle(args, out):
     entry = catalog.resolve_class(args.class_id)
-    value = entry.oracle_count(args.m, args.n, k=args.k, budget=_budget_from_args(args))
+    value = entry.oracle_count(args.m, args.n, k=args.k, budget=OracleBudget(max_cells=args.max_cells))
     out.write(f"{value}\n")
     return EXIT_OK
 
@@ -148,7 +139,7 @@ def _verify_one(entry, m_max, n_max, k, budget, errata_corrected, out):
 
 
 def cmd_verify(args, out):
-    budget = _budget_from_args(args)
+    budget = OracleBudget(max_cells=args.max_cells)
     if args.all:
         ids = catalog.formula_class_ids()
     elif args.class_id:
@@ -164,7 +155,6 @@ def cmd_verify(args, out):
         raise CliError(f"cannot write --emit-errata file: {exc}")
     all_errata = []
     unchecked_grids = []
-    classes_checked = 0
     with errata_out:
         for cid in ids:
             entry = catalog.resolve_class(cid)
@@ -180,8 +170,7 @@ def cmd_verify(args, out):
                 all_errata.extend(report.errata)
                 if report.cells_checked == 0:
                     unchecked_grids.append(cid if k is None else f"{cid} k={k}")
-            classes_checked += 1
-        out.write(f"# classes checked: {classes_checked}\n")
+        out.write(f"# classes checked: {len(ids)}\n")
         if args.emit_errata:
             for rec in all_errata:
                 errata_out.write(json.dumps(rec.as_dict(), sort_keys=True) + "\n")
@@ -245,7 +234,7 @@ def cmd_egf_check(args, out):
 
 
 _MAX_CELLS_HELP = (
-    "the oracle cap (default 20, or T0ENUM_BUDGET_CELLS): a walk takes the narrow side, with at most"
+    "the oracle cap (default %(default)s): a walk takes the narrow side, with at most"
     " MAX_CELLS codes of at most MAX_CELLS bits per leaf and at most 2^MAX_CELLS multisets of it"
 )
 
@@ -271,7 +260,7 @@ def build_parser():
     p.add_argument("--m", type=_int_in(1), required=True)
     p.add_argument("--n", type=_int_in(1), required=True)
     p.add_argument("--k", type=_int_in(0))
-    p.add_argument("--max-cells", type=_int_in(1), help=_MAX_CELLS_HELP)
+    p.add_argument("--max-cells", type=_int_in(1), default=OracleBudget.max_cells, help=_MAX_CELLS_HELP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="compare formulas against the oracle on a grid")
@@ -284,7 +273,7 @@ def build_parser():
     p.add_argument("--k", type=_int_in(0), help="restrict size-parameterized classes to one k (default 1..3)")
     p.add_argument("--emit-errata", metavar="PATH", help="write JSONL errata records")
     p.add_argument("--errata-corrected", action="store_true", help="evaluate corrected forms of as-printed classes")
-    p.add_argument("--max-cells", type=_int_in(1), help=_MAX_CELLS_HELP)
+    p.add_argument("--max-cells", type=_int_in(1), default=OracleBudget.max_cells, help=_MAX_CELLS_HELP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sequence", help="emit 'index value' lines reading the table linearly")

@@ -26,11 +26,6 @@ class BudgetExceededError(RuntimeError):
     a completion count over `catalog.families.MAX_COMPLETION_TUPLES`, or a
     `verify` grid none of whose cells is within its budget."""
 
-    def __init__(self, message, m=None, n=None):
-        super().__init__(message)
-        self.m = m
-        self.n = n
-
 
 def binom(i, j):
     """C(i, j); zero when j < 0 or j > i."""
@@ -107,9 +102,7 @@ def partition_types(n, k):
     if n < 1 or k < 0:
         raise ValueError("partition types need n >= 1 and k >= 0")
     if n > MAX_PARTITION_TYPE_N:
-        raise BudgetExceededError(
-            f"partition types of n = {n} exceed the cap n <= {MAX_PARTITION_TYPE_N}", n=n
-        )
+        raise BudgetExceededError(f"partition types of n = {n} exceed the cap n <= {MAX_PARTITION_TYPE_N}")
     k = min(k, n)
     if k == 0:
         return ((),)

@@ -9,10 +9,13 @@ row order and all table outputs bit-exact reproducible.
 `_feature_record` computes a matrix's `MatrixFeatures`: 8 flags and the
 least and greatest size on each side.  `compile_spec` turns a spec into a
 mask over the flag bits and a size interval per side, once per spec.
-`features_satisfy` and `satisfies` read one record through it, and the
-oracle reads it over a cell's records grouped by their flag bits.
+`group_records` groups weighted records by their flag bits, and
+`admitted_weight`, the one reader of a compiled spec, adds the weight of
+the grouped records it admits.  The oracle reads a whole cell through it,
+and `features_satisfy` one record, as a group of weight 1.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import inf
@@ -21,38 +24,6 @@ from typing import NamedTuple
 
 class MissingParameterError(ValueError):
     """A size constraint was enabled without its integer parameter."""
-
-
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """m x n bit grid; rows = edges, columns = vertices."""
-
-    n: int
-    rows: tuple
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one vertex")
-        mask = (1 << self.n) - 1
-        for r in self.rows:
-            if r < 0 or r & ~mask:
-                raise ValueError(f"row {r} does not fit width {self.n}")
-
-    @property
-    def m(self):
-        return len(self.rows)
-
-    def columns(self):
-        """All n columns, vertex j as an int with edge i on bit i-1, built in
-        one pass over the set bits of the rows."""
-        cols = [0] * self.n
-        for i, r in enumerate(self.rows):
-            edge = 1 << i
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= edge
-                r ^= low
-        return cols
 
 
 # Row conventions (the second index of every table family):
@@ -127,7 +98,7 @@ class MatrixFeatures(NamedTuple):
       and vertex degree.  A side with no member (m = 0 or n = 0) has the
       empty min +inf and max -inf, so every size bound on it holds.
 
-    Flag i is bit i of the record's flag pattern (`_split_record`).
+    Flag i is bit i of the record's flag pattern (`group_records`).
     """
 
     rows_distinct: bool
@@ -148,26 +119,21 @@ class MatrixFeatures(NamedTuple):
 ROWS_DISTINCT, EMPTY_EDGE, FULL_EDGE, COVER, COMMON_VERTEX, T0, CONNECTED, MINIMAL = (1 << i for i in range(8))
 
 
-def _split_record(record):
-    """A feature record as its flag pattern, bit i set iff flag i holds, and
-    its sizes (row_min, row_max, col_min, col_max)."""
-    return sum(1 << i for i, flag in enumerate(record[:8]) if flag), record[8:]
-
-
-def matrix_features(matrix):
-    """Features of one matrix.  Every field is invariant under reordering
-    the rows."""
-    return MatrixFeatures(*_feature_record(matrix.rows, matrix.n, matrix.columns()))
+def matrix_features(rows, n):
+    """Features of the matrix with these rows on n vertices.  Every field is
+    invariant under reordering the rows."""
+    cols = [sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(n)]
+    return MatrixFeatures(*_feature_record(rows, n, cols))
 
 
 def _feature_record(rows, n, cols):
     """The `MatrixFeatures` fields of the matrix with these rows on n
-    vertices, as a plain tuple in field order; `cols` are its columns (see
-    `IncidenceMatrix.columns`).  Every column predicate is read off one set
-    of the columns: t0 is distinct columns, and minimal is a cover where
-    every edge i has a private vertex, the column of edge i alone.  The
-    oracle walk calls this directly, with columns it extends one row at a
-    time."""
+    vertices, as a plain tuple in field order; `cols` are its columns,
+    vertex j as an int with edge i on bit i-1.  Every column predicate is
+    read off one set of the columns: t0 is distinct columns, and minimal is
+    a cover where every edge i has a private vertex, the column of edge i
+    alone.  The oracle walk calls this directly, with columns it extends one
+    row at a time."""
     m = len(rows)
     col_set = set(cols)
     cover = 0 not in col_set
@@ -258,19 +224,43 @@ def compile_spec(spec):
     return mask, want, bounds
 
 
+def group_records(records):
+    """Weighted feature records `{record: weight}` grouped by their flag
+    pattern, bit i set iff flag i holds: `{pattern: (total weight, Counter
+    of (row_min, row_max, col_min, col_max))}`."""
+    groups = {}
+    for record, weight in records.items():
+        bits = sum(1 << i for i, flag in enumerate(record[:8]) if flag)
+        groups.setdefault(bits, Counter())[record[8:]] += weight
+    return {bits: (sum(sizes.values()), sizes) for bits, sizes in groups.items()}
+
+
+def admitted_weight(compiled, groups):
+    """The weight of the grouped records (`group_records`) that meet a
+    compiled spec `(mask, want, bounds)`.  Without size bounds it adds the
+    totals of the groups whose flag pattern the spec admits; with bounds it
+    scans the sizes of those groups only."""
+    mask, want, bounds = compiled
+    if bounds is None:
+        return sum(total for bits, (total, _) in groups.items() if bits & mask == want)
+    row_lo, row_hi, col_lo, col_hi = bounds
+    return sum(
+        weight
+        for bits, (_, sizes) in groups.items()
+        if bits & mask == want
+        for (row_min, row_max, col_min, col_max), weight in sizes.items()
+        if row_lo <= row_min and row_max <= row_hi and col_lo <= col_min and col_max <= col_hi
+    )
+
+
 def features_satisfy(features, spec):
     """True iff a matrix with these features meets every enabled constraint
-    of the spec (its row convention is not read), read off `compile_spec`."""
-    mask, want, bounds = compile_spec(spec)
-    bits, (row_min, row_max, col_min, col_max) = _split_record(features)
-    if bits & mask != want:
-        return False
-    if bounds is None:
-        return True
-    row_lo, row_hi, col_lo, col_hi = bounds
-    return row_lo <= row_min and row_max <= row_hi and col_lo <= col_min and col_max <= col_hi
+    of the spec (its row convention is not read): the record as a group of
+    weight 1, read by `admitted_weight`, the reader the oracle counts with."""
+    return admitted_weight(compile_spec(spec), group_records({features: 1})) == 1
 
 
-def satisfies(matrix, spec):
-    """True iff the matrix meets every enabled constraint of the spec."""
-    return features_satisfy(matrix_features(matrix), spec)
+def satisfies(rows, n, spec):
+    """True iff the matrix with these rows on n vertices meets every enabled
+    constraint of the spec."""
+    return features_satisfy(matrix_features(rows, n), spec)

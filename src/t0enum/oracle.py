@@ -35,16 +35,18 @@ Leaves are counted as plain feature tuples (`hypercore._feature_record`,
 given the rows and the columns in their true roles): 8 flags and the least
 and greatest size on each side, the 12 facts a spec reads.  When the walk
 ends, each kind's records are grouped by their flag bits, each group with
-its total weight.
+its total weight (`hypercore.group_records`).
 
-A spec is read once through `hypercore.compile_spec`, a mask over the flag
-bits and a size interval per side.  A spec with no size bound adds the
-total of every group whose flag pattern it admits; one with a bound scans
-the records of those groups only.  The tests check the feature records and
-`features_satisfy` against the literal definitions of the class properties,
-pin the counts of fixed and random specs and both Counters, from either
-side, to a plain enumeration of all ordered matrices, and pin the number of
-leaves to Burnside's count of orbits, so the fast path cannot drift.
+A spec is compiled once by `hypercore.compile_spec`, a mask over the flag
+bits and a size interval per side, and read by `hypercore.admitted_weight`:
+a spec with no size bound adds the total of every group whose flag pattern
+it admits; one with a bound scans the records of those groups only.
+`features_satisfy` reads one record through the same reader, so the tests
+that check it and the feature records against the literal definitions of
+the class properties check the code that counts.  They also pin the counts
+of fixed and random specs and both Counters, from either side, to a plain
+enumeration of all ordered matrices, and pin the number of leaves to
+Burnside's count of orbits, so the fast path cannot drift.
 """
 
 from collections import Counter
@@ -54,7 +56,7 @@ from itertools import permutations
 from math import comb, factorial, prod
 
 from .exactmath import BudgetExceededError
-from .hypercore import ROWS_DISTINCT, _feature_record, _split_record, compile_spec
+from .hypercore import ROWS_DISTINCT, _feature_record, admitted_weight, compile_spec, group_records
 
 
 @dataclass(frozen=True)
@@ -77,12 +79,10 @@ class OracleBudget:
 
     def check(self, m, n):
         if max(m, n) > self.max_cells:
-            raise BudgetExceededError(f"max(m, n) = {max(m, n)} exceeds max_cells = {self.max_cells}", m=m, n=n)
+            raise BudgetExceededError(f"max(m, n) = {max(m, n)} exceeds max_cells = {self.max_cells}")
         side, k, width, bits = _walk_price(m, n)
         if bits > self.max_cells:  # multisets > 2**max_cells
-            raise BudgetExceededError(
-                f"C(2**{width} + {k} - 1, {k}) multisets of {side} exceed 2**{self.max_cells}", m=m, n=n
-            )
+            raise BudgetExceededError(f"C(2**{width} + {k} - 1, {k}) multisets of {side} exceed 2**{self.max_cells}")
 
 
 def _walked_side(m, n):
@@ -104,10 +104,10 @@ DEFAULT_BUDGET = OracleBudget()
 # The records a row convention reads.
 _KIND = {1: "ordered", 2: "ordered", 3: "multisets", 4: "multisets"}
 
-# (kind, m, n) -> {flag pattern: (total weight, Counter of (row_min,
-# row_max, col_min, col_max))}, kind in 'ordered', 'multisets': the cell's
-# feature records grouped by their flag bits (`hypercore._split_record`).
-# One walk fills both kinds of a cell.
+# (kind, m, n) -> `hypercore.group_records` of the cell's feature records of
+# that kind, kind in 'ordered', 'multisets': {flag pattern: (total weight,
+# Counter of (row_min, row_max, col_min, col_max))}.  One walk fills both
+# kinds of a cell.
 _FEATURE_CACHE = {}
 
 
@@ -120,12 +120,8 @@ def _feature_groups(kind, m, n):
     if hit is not None:
         return hit
     multisets, ordered = _walk_multisets(m, n, _walked_side(m, n)[0])
-    for kind_here, records in (("ordered", ordered), ("multisets", multisets)):
-        groups = {}
-        for record, weight in records.items():
-            bits, sizes = _split_record(record)
-            groups.setdefault(bits, Counter())[sizes] += weight
-        _FEATURE_CACHE[(kind_here, m, n)] = {bits: (sum(c.values()), c) for bits, c in groups.items()}
+    _FEATURE_CACHE[("ordered", m, n)] = group_records(ordered)
+    _FEATURE_CACHE[("multisets", m, n)] = group_records(multisets)
     return _FEATURE_CACHE[key]
 
 
@@ -219,10 +215,9 @@ def count(spec, m, n, budget=DEFAULT_BUDGET):
     One orbit-weighted walk serves every convention: convention 2 reads the
     'ordered' records (all 2**(m*n) matrices), convention 4 the 'multisets'
     records (all row multisets), and conventions 1 and 3 the same records
-    restricted to pairwise-distinct rows.  The spec is read through
-    `compile_spec`: a group of records whose flag pattern it admits adds
-    its total weight, or, when the spec bounds sizes, the weight of its
-    records within the bounds.
+    restricted to pairwise-distinct rows.  The spec is read once through
+    `compile_spec`, with the rows_distinct bit added for conventions 1 and
+    3, and the cell's grouped records through `hypercore.admitted_weight`.
     """
     if m < 1 or n < 1:
         raise ValueError("oracle counts need m >= 1 and n >= 1")
@@ -232,17 +227,7 @@ def count(spec, m, n, budget=DEFAULT_BUDGET):
     if conv in (1, 3):
         mask |= ROWS_DISTINCT
         want |= ROWS_DISTINCT
-    groups = _feature_groups(_KIND[conv], m, n).items()
-    if bounds is None:
-        return sum(total for bits, (total, _) in groups if bits & mask == want)
-    row_lo, row_hi, col_lo, col_hi = bounds
-    return sum(
-        weight
-        for bits, (_, sizes) in groups
-        if bits & mask == want
-        for (row_min, row_max, col_min, col_max), weight in sizes.items()
-        if row_lo <= row_min and row_max <= row_hi and col_lo <= col_min and col_max <= col_hi
-    )
+    return admitted_weight((mask, want, bounds), _feature_groups(_KIND[conv], m, n))
 
 
 @dataclass(frozen=True)

@@ -67,12 +67,10 @@ def test_oracle_command():
     assert code == 0 and text.strip().isdigit()
 
 
-def test_oracle_budget_env_override(monkeypatch):
-    monkeypatch.setenv("T0ENUM_BUDGET_CELLS", "4")
-    code, _ = run_cli("oracle", "--class", "alpha_02", "--m", "2", "--n", "3")
+def test_oracle_max_cells_override():
+    code, _ = run_cli("oracle", "--class", "alpha_02", "--m", "2", "--n", "3", "--max-cells", "4")
     assert code == 4
-    monkeypatch.setenv("T0ENUM_BUDGET_CELLS", "6")
-    code, text = run_cli("oracle", "--class", "alpha_02", "--m", "2", "--n", "3")
+    code, text = run_cli("oracle", "--class", "alpha_02", "--m", "2", "--n", "3", "--max-cells", "6")
     assert code == 0 and int(text) == 2**6
 
 
@@ -211,7 +209,7 @@ def test_verify_grid_with_every_cell_over_budget_exits_4(monkeypatch, capsys):
     # no accepted budget refuses cell (1, 1), so force every oracle call over
     # it, then every formula call
     def over_budget(self, m, n, k=None, **options):
-        raise BudgetExceededError("forced", m=m, n=n)
+        raise BudgetExceededError("forced")
 
     for method in ("oracle_count", "evaluate"):
         monkeypatch.undo()

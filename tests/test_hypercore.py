@@ -6,10 +6,7 @@ import pytest
 import brute_reference as literal
 from t0enum.hypercore import (
     ClassSpec,
-    IncidenceMatrix,
-    MatrixFeatures,
     MissingParameterError,
-    _feature_record,
     features_satisfy,
     matrix_features,
     satisfies,
@@ -17,41 +14,19 @@ from t0enum.hypercore import (
 
 
 def all_matrices(m, n):
-    for rows in product(range(1 << n), repeat=m):
-        yield IncidenceMatrix(n=n, rows=rows)
-
-
-def dual(matrix):
-    """The transpose, built from the package's columns."""
-    return IncidenceMatrix(n=matrix.m, rows=tuple(matrix.columns()))
+    """Every m x n matrix as its row tuple."""
+    return product(range(1 << n), repeat=m)
 
 
 def assert_satisfies(rows, n, spec, expected):
     # the package and the literal definitions must both give `expected`
-    assert satisfies(IncidenceMatrix(n=n, rows=rows), spec) is expected
+    assert satisfies(rows, n, spec) is expected
     assert literal.satisfies(rows, n, spec) is expected
 
 
 def assert_feature(rows, n, name, expected):
-    assert getattr(matrix_features(IncidenceMatrix(n=n, rows=rows)), name) is expected
+    assert getattr(matrix_features(rows, n), name) is expected
     assert getattr(literal.literal_features(rows, n), name) is expected
-
-
-def test_transpose_examples():
-    t = dual(IncidenceMatrix(n=2, rows=(1,)))
-    assert (t.m, t.n) == (2, 1)
-    assert t.rows == (1, 0) == literal.transpose((1,), 2)
-    eye = IncidenceMatrix(n=3, rows=(1, 2, 4))
-    assert dual(eye).rows == (1, 2, 4) == literal.transpose(eye.rows, 3)
-
-
-def test_transpose_is_involution():
-    rng = random.Random(7)
-    for _ in range(100):
-        m_, n_ = rng.randint(1, 4), rng.randint(1, 4)
-        mat = IncidenceMatrix(n=n_, rows=tuple(rng.randrange(1 << n_) for _ in range(m_)))
-        assert dual(mat).rows == literal.transpose(mat.rows, n_)
-        assert dual(dual(mat)) == mat
 
 
 def test_satisfies_examples():
@@ -119,8 +94,8 @@ def test_predicate_duality_exhaustive():
     ]
     for m in range(1, 5):
         for n in range(1, 5):
-            for mat in all_matrices(m, n):
-                f, d = matrix_features(mat), matrix_features(dual(mat))
+            for rows in all_matrices(m, n):
+                f, d = matrix_features(rows, n), matrix_features(literal.transpose(rows, n), m)
                 assert f.empty_edge == (not d.cover)
                 assert f.common_vertex == d.full_edge
                 assert f.t0 == d.rows_distinct
@@ -132,16 +107,16 @@ def test_predicate_duality_exhaustive():
 def test_t0_has_at_most_one_zero_column():
     for m in range(1, 4):
         for n in range(1, 4):
-            for mat in all_matrices(m, n):
-                if matrix_features(mat).t0:
-                    assert mat.columns().count(0) <= 1
+            for rows in all_matrices(m, n):
+                if matrix_features(rows, n).t0:
+                    assert literal.transpose(rows, n).count(0) <= 1
 
 
 def test_connected_implies_cover_and_intersecting_cover_is_connected():
     for m in range(1, 4):
         for n in range(2, 4):
-            for mat in all_matrices(m, n):
-                f = matrix_features(mat)
+            for rows in all_matrices(m, n):
+                f = matrix_features(rows, n)
                 if f.connected:
                     assert f.cover
                 if f.cover and f.common_vertex:
@@ -155,21 +130,20 @@ def test_features_agree_with_satisfies():
     specs = [literal.random_spec(rng) for _ in range(40)]
     for m in range(1, 4):
         for n in range(1, 4):
-            for mat in all_matrices(m, n):
-                feats = matrix_features(mat)
-                assert feats == literal.literal_features(mat.rows, n), mat
+            for rows in all_matrices(m, n):
+                feats = matrix_features(rows, n)
+                assert feats == literal.literal_features(rows, n), rows
                 for spec in specs:
-                    expected = literal.satisfies(mat.rows, n, spec)
-                    assert features_satisfy(feats, spec) == expected, (mat, spec)
-                    assert satisfies(mat, spec) == expected
+                    expected = literal.satisfies(rows, n, spec)
+                    assert features_satisfy(feats, spec) == expected, (rows, spec)
+                    assert satisfies(rows, n, spec) == expected
 
 
 def test_degree_bounds_are_vacuous_with_no_vertex():
-    # at n = 0 every row is the empty edge and there is no degree to bound;
-    # `IncidenceMatrix` refuses n = 0, so the record is built directly
+    # at n = 0 every row is the empty edge and there is no degree to bound
     for m in range(4):
         rows = (0,) * m
-        feats = MatrixFeatures(*_feature_record(rows, 0, []))
+        feats = matrix_features(rows, 0)
         assert feats == literal.literal_features(rows, 0)
         for kind in ("exact_cover", "at_most_cover"):
             for k in range(4):

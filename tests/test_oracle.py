@@ -322,7 +322,7 @@ def test_verify_grid_skips_formula_budget_refusal(monkeypatch):
 
     def refuse_2_3(self, m, n, k=None, errata_corrected=False):
         if (m, n) == (2, 3):
-            raise BudgetExceededError("formula over budget", m=m, n=n)
+            raise BudgetExceededError("formula over budget")
         return evaluate(self, m, n, k=k, errata_corrected=errata_corrected)
 
     monkeypatch.setattr(CatalogEntry, "evaluate", refuse_2_3)
