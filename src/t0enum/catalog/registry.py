@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from math import comb
 
+from .. import oracle
 from ..hypercore import ClassSpec, MissingParameterError
 from ..oracle import DEFAULT_BUDGET
-from ..oracle import count as oracle_count
 from ..transforms import vertex_sieve
 from . import families as F
 
@@ -78,7 +78,7 @@ class CatalogEntry:
     def oracle_count(self, m, n, k=None, budget=DEFAULT_BUDGET):
         if self.custom_oracle is not None:
             return self.custom_oracle(m, n, k, budget)
-        return oracle_count(self.class_spec(k), m, n, budget)
+        return oracle.count(self.class_spec(k), m, n, budget)
 
     def evaluate(self, m, n, k=None, errata_corrected=False):
         if errata_corrected and self.corrected_id is not None:
@@ -356,7 +356,7 @@ def _graph_oracle(spec, m, n, k, budget):
     """Graphs whose covered vertices have distinct columns: on the j covered
     vertices the graph is a distinct-column cover.  The largest set of
     covered vertices is priced first, so an over-budget cell runs no walk."""
-    return sum(comb(n, j) * oracle_count(spec, m, j, budget) for j in range(n, 0, -1))
+    return sum(comb(n, j) * oracle.count(spec, m, j, budget) for j in range(n, 0, -1))
 
 
 # Loops are the size-1 edges of the bounded sizes 1..2.  A cover column is

@@ -20,6 +20,7 @@ import contextlib
 import json
 import sys
 import traceback
+from functools import cache
 
 from . import catalog
 from .catalog import OracleOnlyClassError, UnknownClassError
@@ -239,7 +240,9 @@ _MAX_CELLS_HELP = (
 )
 
 
+@cache
 def build_parser():
+    """The one parser of the process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="t0enum",
         description="Exact enumeration of labelled hypergraph classes, certified against a brute-force oracle.",

@@ -28,9 +28,12 @@ The walk is depth first over nondecreasing codes, in the order of
 if its sorted code tuple is lexicographically no larger than its sorted
 image under every permutation.  The minimal multiset of an orbit stays
 minimal when its largest code is dropped, so every orbit is reached once,
-through canonical prefixes only.  Each step carries the codes of the other
-side for the current prefix (walked code i owns bit i of every carried
-code) and its running prod(mult!) denominator; no leaf rebuilds either.
+through canonical prefixes only.  Every permutation's key gap sits in its
+own field of one packed int (`_packed_steps`), so the test per child is one
+big-int addition and one mask test.  Each step carries the codes of the
+other side for the current prefix (walked code i owns bit i of every
+carried code) and its running prod(mult!) denominator; no leaf rebuilds
+either.
 Leaves are counted as plain feature tuples (`hypercore._feature_record`,
 given the rows and the columns in their true roles): 8 flags and the least
 and greatest size on each side, the 12 facts a spec reads.  When the walk
@@ -68,8 +71,8 @@ class OracleBudget:
     bounds the work per leaf.  And the side's C(2**width + k - 1, k) plain
     multisets are at most 2**max_cells; each orbit holds at least one, so
     this bounds the walk's leaves.  At the default cap every admitted walk
-    has codes of at most 5 bits, so at most 5! = 120 permutations to test
-    per step."""
+    has codes of at most 5 bits, so each step adds and tests one packed int
+    of at most 5! = 120 gaps."""
 
     max_cells: int = 20
 
@@ -134,25 +137,27 @@ def _walk_multisets(m, n, side):
     'columns' (n codes of m bits, carrying the m rows).  Depth first over
     nondecreasing codes, in the order of
     combinations_with_replacement(range(2**width), k), keeping a prefix only
-    if it is canonical (see `_orbit_steps`).  Beyond the Counters it keeps
-    the step table, the walked and carried codes and, per depth, one int
-    per permutation.
+    if it is canonical (see `_packed_steps`): one big-int addition and one
+    mask test per child.  Beyond the Counters it keeps the step table, the
+    walked and carried codes and, per depth, one packed int of every
+    permutation's gap.
     """
     multisets, ordered = Counter(), Counter()
     k, width = (m, n) if side == "rows" else (n, m)
     k_factorial, width_factorial, m_factorial = factorial(k), factorial(width), factorial(m)
-    steps = _orbit_steps(width, k)
+    steps, bias, positive, unit = _packed_steps(width, k.bit_length())
     ones = [[j for j in range(width) if code >> j & 1] for code in range(1 << width)]
     walked, carried = [0] * k, [0] * width
     rows, cols = (walked, carried) if side == "rows" else (carried, walked)
 
     def extend(depth, low, gaps, run, denominator):
-        # walked[:depth] is canonical; gaps[p] is key(p(prefix)) - key(prefix).
-        # Walked code `depth` owns bit `depth` of every carried code.
+        # walked[:depth] is canonical; field p of gaps is bias plus
+        # key(p(prefix)) - key(prefix).  Walked code `depth` owns bit
+        # `depth` of every carried code.
         own = 1 << depth
         for code in range(low, len(steps)):
-            child = [gap + step for gap, step in zip(gaps, steps[code])]
-            if max(child):  # some permutation sorts the prefix lower
+            child = gaps + steps[code]
+            if child & positive:  # some permutation sorts the prefix lower
                 continue
             walked[depth] = code
             for j in ones[code]:
@@ -164,7 +169,7 @@ def _walk_multisets(m, n, side):
                 extend(depth + 1, code, child, run_here, denominator_here)
             else:
                 record = _feature_record(rows, n, cols)
-                weight = width_factorial // child.count(0) * (k_factorial // denominator_here)
+                weight = width_factorial // _fixed_fields(child, positive, unit) * (k_factorial // denominator_here)
                 ordered[record] += weight
                 row_denominator = denominator_here
                 if side == "columns":  # the rows are the carried codes
@@ -173,36 +178,60 @@ def _walk_multisets(m, n, side):
             for j in ones[code]:
                 carried[j] ^= own
 
-    extend(0, 0, [0] * width_factorial, 0, 1)
+    extend(0, 0, bias, 0, 1)
     return multisets, ordered
 
 
-def _orbit_steps(width, k):
-    """Per code, what adding it does to each permutation's key gap.
+@cache
+def _packed_steps(width, s):
+    """Per code, what adding it does to every permutation's key gap, all the
+    gaps packed in one int, and the masks that read them:
+    (steps, bias, positive, unit).
 
     A multiset of at most k codes of `width` bits has the key
     sum(2**(s * (2**width - 1 - code))) over its codes, s = k.bit_length():
-    one s-bit digit per code, counting its copies, code 0 the top digit.  So
-    a multiset's sorted tuple is lexicographically smaller than another's
-    of the same size exactly when its key is larger, and a prefix is
-    canonical, no larger than the sorted image of itself under any
-    permutation p of the other side, when key(p(prefix)) <= key(prefix) for
-    every p.  Keys are additive, so each step adds to every permutation's
-    gap key(p(prefix)) - key(prefix) the gap of one code.  The identity
-    comes first, with gap 0 always; the stabilizer is the gaps equal to 0.
+    one s-bit digit per code, counting its copies, code 0 the top digit, so
+    every key is below 2**L, L = s * 2**width.  So a multiset's sorted tuple
+    is lexicographically smaller than another's of the same size exactly
+    when its key is larger, and a prefix is canonical, no larger than the
+    sorted image of itself under any permutation p of the other side, when
+    key(p(prefix)) <= key(prefix) for every p.  Keys are additive, so each
+    step adds to every permutation's gap key(p(prefix)) - key(prefix) the
+    gap of one code.
+
+    Permutation p's gap lives in field p of one int, L + 1 bits wide, plus a
+    bias of 2**L - 1.  A gap is a difference of two keys below 2**L, so
+    every field stays in [0, 2**(L+1) - 2], no carry crosses a field, and
+    bit L of a field (`positive`) is set exactly when its gap is positive.
+    A walk starts from `bias`, every gap 0, and `unit` holds 1 in every
+    field.
     """
     top = (1 << width) - 1
-    s = k.bit_length()
+    key_bits = s * (top + 1)
+    field_bits = key_bits + 1
     images = _code_images(width)
-    return [
-        [(1 << s * (top - image[code])) - (1 << s * (top - code)) for image in images] for code in range(top + 1)
-    ]
+    unit = ((1 << field_bits * len(images)) - 1) // ((1 << field_bits) - 1)  # a geometric series
+    steps = []
+    for code in range(top + 1):
+        # field p gets key(p(code)), one bit, set in place so the build stays linear
+        image_keys = bytearray(field_bits * len(images) // 8 + 1)
+        for p, image in enumerate(images):
+            bit = field_bits * p + s * (top - image[code])
+            image_keys[bit >> 3] |= 1 << (bit & 7)
+        steps.append(int.from_bytes(image_keys, "little") - (unit << s * (top - code)))
+    return steps, unit * ((1 << key_bits) - 1), unit << key_bits, unit
 
 
-@cache
+def _fixed_fields(child, positive, unit):
+    """|Stab| of a canonical leaf: the fields of its packed gaps at the bias
+    (gap 0), the permutations that fix its multiset.  No gap of a canonical
+    prefix is positive, so every field is at most the bias 2**L - 1, and
+    adding 1 to every field carries into bit L exactly those."""
+    return ((child + unit) & positive).bit_count()
+
+
 def _code_images(width):
-    """Per permutation of `width` bits, identity first, the image of every
-    code: one lookup table per permutation, built on first use."""
+    """Per permutation of `width` bits, the image of every code."""
     return tuple(
         tuple(sum(1 << p for i, p in enumerate(perm) if code >> i & 1) for code in range(1 << width))
         for perm in permutations(range(width))

@@ -181,6 +181,45 @@ def test_wide_cells_walk_their_columns_for_every_convention(monkeypatch, m, n, o
     assert _check_orbit_walk(monkeypatch, m, n) == orbits
 
 
+def _pack(fields, field_bits):
+    return sum(value << field_bits * p for p, value in enumerate(fields))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_packed_gaps_read_like_their_fields(width, s):
+    # each permutation's key gap sits in a field of L + 1 bits plus the
+    # bias 2**L - 1, L = s * 2**width: the masks and the step table against
+    # a plain packing of the fields, and the walk's two reads (some gap
+    # positive; at a canonical leaf, the gaps at 0) against a plain decode,
+    # with every field position at each extreme value over each background
+    steps, bias, positive, unit = oracle._packed_steps(width, s)
+    key_bits = s << width
+    field_bits = key_bits + 1
+    low = (1 << key_bits) - 1
+    perms = list(itertools.permutations(range(width)))
+
+    def decode(packed):
+        return [packed >> field_bits * p & (1 << field_bits) - 1 for p in range(len(perms))]
+
+    assert (unit, bias, positive) == tuple(_pack([v] * len(perms), field_bits) for v in (1, low, low + 1))
+    top = (1 << width) - 1
+    for code in range(top + 1):
+        images = [sum(1 << perm[i] for i in range(width) if code >> i & 1) for perm in perms]
+        gaps = [(1 << s * (top - image)) - (1 << s * (top - code)) for image in images]
+        assert decode(bias + steps[code]) == [low + gap for gap in gaps], code
+    extremes = (0, low - 1, low, low + 1, 2 * low)  # 2 * low = 2**(L + 1) - 2
+    for background in extremes:
+        for p in range(len(perms)):
+            for value in extremes:
+                fields = [background] * len(perms)
+                fields[p] = value
+                child = _pack(fields, field_bits)
+                assert bool(child & positive) == any(f > low for f in fields)
+                if not child & positive:
+                    assert oracle._fixed_fields(child, positive, unit) == fields.count(low)
+
+
 def test_count_conventions_3_and_4():
     # unordered: sets vs multisets of rows
     spec3 = ClassSpec(row_convention=3)
