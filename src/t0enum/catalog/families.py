@@ -213,7 +213,7 @@ def theta(j, m, n, k, *, bounded):
 
 # ---------------------------------------------------------------------------
 # fixed edge size, distinct columns: the partition-type sums and their column
-# recurrences
+# sieves
 
 @cache
 def theta_star_0(s, m, n, k, *, bounded):
@@ -233,44 +233,35 @@ def theta_star_0(s, m, n, k, *, bounded):
     )
 
 
-@cache
 def theta_star_1(s, m, n, k, *, bounded):
     """Cover column: a distinct-column hypergraph has at most one isolated
     vertex, so theta_star_0(n) = theta_star_1(n) + n * theta_star_1(n-1).
-    The empty-width matrix is vacuously a cover (n = 0).
-    """
-    if n == 0:
-        return theta_star_0(s, m, 0, k, bounded=bounded)
-    return theta_star_0(s, m, n, k, bounded=bounded) - n * theta_star_1(s, m, n - 1, k, bounded=bounded)
+    Unrolled, j nested splits weigh theta_star_0(n - j) by [n]_j =
+    C(n, j) j!: the vertex sieve of j! theta_star_0.  The empty-width matrix
+    is vacuously a cover (n = 0)."""
+    return vertex_sieve(lambda j: factorial(j) * theta_star_0(s, m, n - j, k, bounded=bounded), n)
 
 
 @cache
 def theta_star_3(s, m, n, k):
     """No-common-vertex column: a distinct-column k-uniform hypergraph has at
     most one all-one column; deleting it leaves the (k-1)-uniform class on
-    n - 1 vertices, still without a common vertex."""
-    if m < 1:
-        raise ValueError("column defined for m >= 1")
-    if k < 0:
-        return 0
-    if n == 0:
-        return selections(s, 1, m) if k == 0 else 0
-    if k == 0:
-        # all edges empty: no common vertex for free; distinct columns force n = 1
-        return selections(s, 1, m) if n == 1 else 0
-    return theta_star_0(s, m, n, k, bounded=False) - n * theta_star_3(s, m, n - 1, k - 1)
+    n - 1 vertices, so theta_star_0(n, k) = theta_star_3(n, k) +
+    n * theta_star_3(n-1, k-1).  Unrolled, the sieve of `theta_star_1` with
+    the size dropping by one per pinned vertex; a negative size admits no
+    edge.  With no edge (m = 0) every vertex is common, and the sieve counts
+    only the empty vertex set."""
+    return vertex_sieve(lambda j: factorial(j) * theta_star_0(s, m, n - j, k - j, bounded=False), n)
 
 
-@cache
 def theta_star_4(s, m, n, k):
-    """Cover and no common vertex, by the one-isolated-vertex split again."""
+    """Cover and no common vertex: the sieve of `theta_star_1` over the
+    no-common-vertex column.  With no edge (m = 0) its split does not hold,
+    since one vertex would be isolated and common at once: the sieve would
+    read (-1)^n n!, so the column is refused there."""
     if m < 1:
         raise ValueError("column defined for m >= 1")
-    if n == 0:
-        return selections(s, 1, m) if k == 0 else 0
-    if k == 0:
-        return 0
-    return theta_star_3(s, m, n, k) - n * theta_star_4(s, m, n - 1, k)
+    return vertex_sieve(lambda j: factorial(j) * theta_star_3(s, m, n - j, k), n)
 
 
 def _completion_count(m, t, size_set):
@@ -473,31 +464,21 @@ def omega(i, conv, m, n):
     raise ValueError(f"omega column {i} out of range")
 
 
-def _omega_star_no_empty(i, conv, m, n):
-    # columns 1, 3, 5, 7 forbid empty edges; their classes are condensation
-    # stable, so the signed-Stirling filtration applies
-    if m == 0:
-        return 1 if n == 1 else 0
-    return t0_transform(lambda t: omega(i, conv, m, t), n)
-
-
 def omega_star(i, conv, m, n):
     """Distinct-column connected counts.
 
-    The filtration transform is valid only for the empty-edge-free columns:
-    with empty edges allowed, the one-vertex class contains edgeless
-    matrices whose expansions are disconnected, so condensation invariance
-    (and with it the Stirling sum) breaks.  Even columns are therefore
-    assembled by distributing empty rows over the odd ones; a hypergraph
-    with an empty edge never has a common vertex, which is why columns 4
-    and 6 fall back to rest columns 1 and 3.
+    The columns that forbid empty edges (1, 3, 5, 7) are condensation stable
+    and take the filtration of `omega_star_as_printed`; with no edge only
+    one vertex is connected.  With empty edges allowed, the one-vertex class
+    holds edgeless matrices whose expansions are disconnected, so the
+    Stirling sum breaks: even columns spread empty rows over the odd ones.
+    An empty edge leaves no common vertex, so columns 4 and 6 fall back to
+    rest columns 1 and 3.
     """
-    if i in (1, 3, 5, 7):
-        return _omega_star_no_empty(i, conv, m, n)
+    if i % 2:
+        return int(n == 1) if m == 0 else omega_star_as_printed(i, conv, m, n)
     rest = 1 if i in (0, 4) else 3
-    return _omega_star_no_empty(i + 1, conv, m, n) + _row_copies(
-        conv, m, lambda r: _omega_star_no_empty(rest, conv, r, n)
-    )
+    return omega_star(i + 1, conv, m, n) + _row_copies(conv, m, lambda r: omega_star(rest, conv, r, n))
 
 
 def omega_star_as_printed(i, conv, m, n):

@@ -50,6 +50,8 @@ def vertex_sieve(pinned, n):
     structures with i given vertices isolated (the sieve counts covers) or
     common to every edge (it counts no-common-vertex classes).  Every term is
     summed: a pinned count that vanishes says so itself."""
+    if n < 0:
+        raise ValueError("the vertex sieve needs n >= 0")
     total, weight = 0, 1  # weight is (-1)^i C(n, i)
     for i in range(n + 1):
         total += weight * pinned(i)

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from itertools import combinations
 from math import comb, factorial, perm
 
@@ -135,6 +136,24 @@ def test_theta_star_examples():
         assert F.theta_star_0(s, 2, 1, 1, bounded=False) == selections(s, 1, 2)
         spec_kn = ClassSpec(row_convention=s, uniformity=("exact", 2), require_t0=True)
         assert F.theta_star_0(s, 2, 2, 2, bounded=False) == count(spec_kn, 2, 2)
+
+
+def test_theta_star_column_splits_past_the_oracle_grid():
+    # distinct columns leave at most one zero and at most one all-one
+    # column; removing it, in n ways, is the split each sieve unrolls.  The
+    # no-common-vertex split also drops the edge size by one.
+    for s in range(1, 5):
+        for n in range(1, 15):
+            for k in range(5):
+                for m in range(5):
+                    for bounded in (False, True):
+                        cover = partial(F.theta_star_1, s, m, k=k, bounded=bounded)
+                        assert F.theta_star_0(s, m, n, k, bounded=bounded) == cover(n) + n * cover(n - 1)
+                    if m == 0:
+                        continue
+                    plain = F.theta_star_0(s, m, n, k, bounded=False)
+                    assert plain == F.theta_star_3(s, m, n, k) + n * F.theta_star_3(s, m, n - 1, k - 1)
+                    assert F.theta_star_3(s, m, n, k) == F.theta_star_4(s, m, n, k) + n * F.theta_star_4(s, m, n - 1, k)
 
 
 def test_two_cover_examples():
@@ -387,6 +406,7 @@ def test_fixed_size_families_without_edges():
                 for s in range(1, 5):
                     assert F.theta_star_0(s, 0, n, k, bounded=bounded) == (n <= 1)
                     assert F.theta_star_1(s, 0, n, k, bounded=bounded) == (n == 0)
+                    assert F.theta_star_3(s, 0, n, k) == (n == 0)
                     if n >= 1:
                         assert F.bar_omega_star_0(s, 0, n, k, bounded=bounded) == (n == 1), (s, n, k, bounded)
 

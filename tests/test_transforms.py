@@ -54,6 +54,15 @@ def test_vertex_sieve_on_no_vertices_is_the_unpinned_term():
     assert vertex_sieve(lambda i: 1000 + i, 0) == 1000
 
 
+def test_vertex_sieve_refuses_a_negative_width():
+    # the as-printed connected heads read theta_star_1 one vertex down, at
+    # n = -1 when n = 0: no vacuous sum stands for it
+    with pytest.raises(ValueError, match="the vertex sieve needs n >= 0"):
+        vertex_sieve(lambda i: 1, -1)
+    with pytest.raises(ValueError, match="the vertex sieve needs n >= 0"):
+        F.theta_star_1(2, 2, -1, 2, bounded=False)
+
+
 @settings(max_examples=30)
 @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=8))
 def test_t0_roundtrip_both_ways(values):
