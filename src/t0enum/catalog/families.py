@@ -19,7 +19,7 @@ derived from first principles in the docstring of the function that uses it.
 """
 
 from functools import cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import factorial
 
 from ..exactmath import (
@@ -62,65 +62,54 @@ def alpha_star(j, conv, m, n):
     return t0_transform(lambda i: alpha(j, conv, m, i), n)
 
 
-def bar_alpha(i, conv, m, n):
-    """Classes with no common vertex, by inclusion-exclusion over the set of
-    vertices lying in every edge.
-
-    Pinning j >= 1 all-one columns makes any empty-edge constraint vacuous
-    while a full-edge constraint survives on the rest, so the inner column
-    index is 2*(i//2); the j = n term makes the one-edge cases come out
-    right without special-casing.
-    """
-    return vertex_sieve(lambda j: alpha(i if j == 0 else 2 * (i // 2), conv, m, n - j), n)
-
-
-def bar_alpha_star(i, conv, m, n):
-    """The filtration of `bar_alpha`'s sieve, taken term by term as in
-    `beta_star`: the cover shift of the column the pinned terms read, plus
-    the filtered excess of the unpinned column i over it."""
-    c = 2 * (i // 2)
-    return cover_transform(lambda t: alpha(c, conv, m, t), n) + t0_transform(
-        lambda t: alpha(i, conv, m, t) - alpha(c, conv, m, t), n
-    )
-
-
 # ---------------------------------------------------------------------------
-# covers
+# covers, and by complement (`registry`) the no-common-vertex classes
+
+def _pinned_columns(i, m):
+    """`beta` column i reads `alpha` column c = i mod 4 unpinned, c mod 2 on
+    pinned isolated vertices and, in 4..7, 2 (c // 2) on pinned common ones
+    (else None).  With no edge a vertex is both, so 4..7 read as 0..3."""
+    c = i % 4
+    return c, c % 2, (2 * (c // 2) if i > 3 and m else None)
+
 
 def beta(i, conv, m, n):
     """Covers (columns 0..3) and covers with no common vertex, that is with
     no singular vertex (4..7), by one sieve over s pinned vertices.
 
-    Column c = i mod 4 is read unpinned.  Pinned isolated vertices keep the
-    no-empty constraint and dissolve no-full: column c mod 2.  In columns
-    4..7 each pinned vertex may also be common: all common keep no-full
-    (column 2 (c // 2)), and the 2^s - 2 mixes dissolve both."""
-    c = i % 4
+    Pinned isolated vertices keep the no-empty constraint and dissolve
+    no-full.  In columns 4..7 each pinned vertex may also be common: all
+    common keep no-full, and the 2^s - 2 mixes dissolve both."""
+    c, h, k = _pinned_columns(i, m)
 
     def pinned(s):
         if s == 0:
             return alpha(c, conv, m, n)
-        common = alpha(2 * (c // 2), conv, m, n - s) + (2**s - 2) * alpha(0, conv, m, n - s) if i > 3 else 0
-        return alpha(c % 2, conv, m, n - s) + common
+        common = 0 if k is None else alpha(k, conv, m, n - s) + (2**s - 2) * alpha(0, conv, m, n - s)
+        return alpha(h, conv, m, n - s) + common
 
     return vertex_sieve(pinned, n)
 
 
 def beta_star(i, conv, m, n):
-    """Distinct-column covers: the signed-Stirling filtration of the
-    isolated-vertex sieve over `alpha` (columns 0..3) or `bar_alpha` (4..7),
-    taken term by term.
+    """Distinct-column covers: `beta`'s sieve filtered term by term.
 
-    With g(t) the family's column c = i mod 4 and h(t) its column c mod 2,
-    beta(t) is the sieve sum_u (-1)^(t-u) C(t, u) h(u) plus the excess
-    g(t) - h(t) of its unpinned term.  Filtering the sieve gives the cover
-    shift of h, since sum_t s(n, t) (-1)^(t-u) C(t, u) = s(n+1, u+1), which
-    follows from [x]_(n+1) = x [x-1]_n.  The excess is zero for columns 0,
-    1, 4 and 5: they forbid no full edge, so pinning dissolves nothing.
-    """
-    family, c = (alpha if i < 4 else bar_alpha), i % 4
-    return cover_transform(lambda t: family(c % 2, conv, m, t), n) + t0_transform(
-        lambda t: family(c, conv, m, t) - family(c % 2, conv, m, t), n
+    With h and k from `_pinned_columns`, its term at s >= 1 pinned vertices
+    and t = n - s others is g(t) + 2^s a(t): g = alpha(h), a = 0 in columns
+    0..3, and g = alpha(h) + alpha(k) - 2 alpha(0), a = alpha(0) in 4..7.
+    Filtering sum_s (-r)^s C(t, s) f(t - s) gives sum_u f(u) [x^u] [x-r]_n: at
+    r = 1 the cover shift of f, as [x]_(n+1) = x [x-1]_n, and at r = 2, as
+    [x-1]_(n+1) = (x-1) [x-2]_n, the cover shift one vertex wider of f's
+    running sums.  The unpinned term's excess is filtered as it stands."""
+    c, h, k = _pinned_columns(i, m)
+    a = {j: [alpha(j, conv, m, t) for t in range(n + 1)] for j in ({c, h} if k is None else {0, c, h, k})}
+    if k is None:
+        return cover_transform(a[h].__getitem__, n) + t0_transform(lambda t: a[c][t] - a[h][t], n)
+    sums = list(accumulate(a[0], initial=0))
+    return (
+        cover_transform(lambda t: a[h][t] + a[k][t] - 2 * a[0][t], n)
+        + cover_transform(sums.__getitem__, n + 1)
+        + t0_transform(lambda t: a[c][t] - a[h][t] - a[k][t] + a[0][t], n)
     )
 
 
@@ -399,8 +388,11 @@ def _row_copies(conv, m, rest):
 
     Distinct rows allow one copy: in any of m positions (convention 1) or,
     unordered, just once (3).  With repeats any e >= 1 copies may appear: in
-    C(m, e) position sets (2) or, unordered, once for each e (4).
+    C(m, e) position sets (2) or, unordered, once for each e (4).  With no
+    row there is no copy.
     """
+    if m < 1:
+        return 0
     if conv == 1:
         return m * rest(m - 1)
     if conv == 2:
@@ -457,8 +449,10 @@ def omega(i, conv, m, n):
         return omega(i - 2, conv, m, n) - _row_copies(conv, m, lambda r: alpha(i, conv, r, n))
     if 4 <= i <= 7:
         # less the covers with a common vertex, which are connected and hold
-        # no empty edge: the covers of column c less those with no common
-        # vertex (beta column c + 4)
+        # no empty edge: beta column c less c + 4.  With no edge a lone
+        # vertex is connected and common to every edge, but no cover.
+        if m == 0:
+            return 0
         c = 0 if i < 6 else 2
         return omega(i - 4, conv, m, n) - beta(c, conv, m, n) + beta(c + 4, conv, m, n)
     raise ValueError(f"omega column {i} out of range")
@@ -467,18 +461,21 @@ def omega(i, conv, m, n):
 def omega_star(i, conv, m, n):
     """Distinct-column connected counts.
 
-    The columns that forbid empty edges (1, 3, 5, 7) are condensation stable
-    and take the filtration of `omega_star_as_printed`; with no edge only
-    one vertex is connected.  With empty edges allowed, the one-vertex class
+    The columns that forbid empty edges (1, 3) are condensation stable and
+    take the filtration of `omega_star_as_printed`; with no edge only one
+    vertex is connected.  With empty edges allowed, the one-vertex class
     holds edgeless matrices whose expansions are disconnected, so the
-    Stirling sum breaks: even columns spread empty rows over the odd ones.
-    An empty edge leaves no common vertex, so columns 4 and 6 fall back to
-    rest columns 1 and 3.
+    Stirling sum breaks: columns 0 and 2 spread empty rows over 1 and 3.
+    Columns 4..7 are column i - 4 less its covers with a common vertex:
+    distinct columns hold one all-ones column at most, and deleting it
+    leaves a cover with no singular vertex (`beta_star` column c + 4 for
+    c = i - 4 rounded down to even) on the other n - 1 vertices.
     """
+    if i > 3:
+        return omega_star(i - 4, conv, m, n) - n * beta_star(i - i % 2, conv, m, n - 1)
     if i % 2:
         return int(n == 1) if m == 0 else omega_star_as_printed(i, conv, m, n)
-    rest = 1 if i in (0, 4) else 3
-    return omega_star(i + 1, conv, m, n) + _row_copies(conv, m, lambda r: omega_star(rest, conv, r, n))
+    return omega_star(i + 1, conv, m, n) + _row_copies(conv, m, lambda r: omega_star(i + 1, conv, r, n))
 
 
 def omega_star_as_printed(i, conv, m, n):

@@ -136,8 +136,8 @@ def classify_discrepancy(entry, m, n, k, formula_value, oracle_value):
 
 # ---------------------------------------------------------------------------
 # families indexed by property column and row convention: `{name}_{i}{conv}`
-# is family(i, conv, m, n).  Column i takes the empty/full-edge flags of
-# i mod 4 plus the family's flags for its block of four columns (0..3, 4..7).
+# is family(columns[i], conv, m, n).  Column i takes the empty/full-edge flags
+# of i mod 4 plus the family's flags for its block of four columns (0..3, 4..7).
 
 _Q_FLAGS = (
     {},
@@ -153,25 +153,27 @@ _CONNECTED = {"require_connected": True}
 _MINIMAL = {"require_minimal_cover": True}
 _T0 = {"require_t0": True}
 
-for _name, _family, _kind, _reference, _blocks in (
-    ("alpha", F.alpha, "closed-form",
+for _name, _family, _columns, _kind, _reference, _blocks in (
+    ("alpha", F.alpha, range(8), "closed-form",
      "selections(conv {conv}) from the 2^n - {removed} admissible rows", ({},)),
-    ("alpha_star", F.alpha_star, "transform",
+    ("alpha_star", F.alpha_star, range(8), "transform",
      "signed-Stirling transform of the admissible-row count", (_T0,)),
-    ("bar_alpha", F.bar_alpha, "closed-form",
+    # no common vertex: complementing every entry swaps isolated with common
+    # vertices and empty with full edges, so these are beta's columns 0, 2, 1, 3
+    ("bar_alpha", F.beta, (0, 2, 1, 3), "closed-form",
      "inclusion-exclusion over the set of vertices common to all edges", (_NO_COMMON,)),
-    ("bar_alpha_star", F.bar_alpha_star, "transform",
+    ("bar_alpha_star", F.beta_star, (0, 2, 1, 3), "transform",
      "signed-Stirling transform of the common-vertex sieve", ({**_NO_COMMON, **_T0},)),
     # covers (columns 0..3) and no-singular-vertex classes (4..7)
-    ("beta", F.beta, "closed-form",
+    ("beta", F.beta, range(8), "closed-form",
      "isolated-vertex sieve over the admissible-row counts", (_COVER, _NO_SINGULAR)),
-    ("beta_star", F.beta_star, "transform",
+    ("beta_star", F.beta_star, range(8), "transform",
      "cover shift / signed-Stirling transform of the cover sieve",
      ({**_COVER, **_T0}, {**_NO_SINGULAR, **_T0})),
-    ("omega", F.omega, "recurrence",
+    ("omega", F.omega, range(8), "recurrence",
      "connected-component recurrence with empty/full-edge and common-vertex sieves",
      (_CONNECTED, {**_CONNECTED, **_NO_COMMON})),
-    ("omega_star", F.omega_star, "transform",
+    ("omega_star", F.omega_star, range(8), "transform",
      "signed-Stirling transform of the connected count",
      ({**_CONNECTED, **_T0}, {**_CONNECTED, **_NO_COMMON, **_T0})),
 ):
@@ -182,7 +184,7 @@ for _name, _family, _kind, _reference, _blocks in (
                 _reference.format(conv=_conv, removed=(_i + 1) // 2),
                 kind=_kind,
                 spec=ClassSpec(row_convention=_conv, **_Q_FLAGS[_i % 4], **_blocks[_i // 4]),
-                formula=partial(_family, _i, _conv),
+                formula=partial(_family, _columns[_i], _conv),
             )
 
 _register(

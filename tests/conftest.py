@@ -1,10 +1,17 @@
-"""Shared independent brute-force helpers.
+"""Shared test helpers.
 
-These deliberately avoid the package's own partition/transform code so that
-derived expected values come from a second route.
+The brute-force ones deliberately avoid the package's own partition/transform
+code so that derived expected values come from a second route.
 """
 
 from math import comb
+
+from t0enum.catalog import resolve_class
+
+
+def registered(name):
+    """The catalog ids `{name}_{i}{conv}` as one family(i, conv, m, n)."""
+    return lambda i, conv, m, n: resolve_class(f"{name}_{i}{conv}").evaluate(m, n)
 
 
 def brute_set_partitions(elements):

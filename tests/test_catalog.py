@@ -11,6 +11,7 @@ from math import comb, factorial, perm
 
 import pytest
 from brute_reference import brute_counts
+from conftest import registered
 
 from t0enum import catalog
 from t0enum.catalog import families as F
@@ -20,9 +21,9 @@ from t0enum.catalog import (
     manifest,
     resolve_class,
 )
-from t0enum.hypercore import ClassSpec
+from t0enum.hypercore import ClassSpec, features_satisfy, matrix_features
 from t0enum.oracle import count, verify_grid
-from t0enum.transforms import t0_transform
+from t0enum.transforms import t0_transform, vertex_sieve
 
 
 def test_alpha_examples():
@@ -42,13 +43,34 @@ def test_alpha_star_examples():
 
 
 def test_bar_alpha_one_edge_values():
+    bar_alpha = registered("bar_alpha")
     for n in range(1, 6):
-        assert F.bar_alpha(0, 1, 1, n) == 1
-        assert F.bar_alpha(1, 1, 1, n) == 0
-        assert F.bar_alpha(2, 1, 1, n) == 1
-        assert F.bar_alpha(3, 1, 1, n) == 0
+        assert bar_alpha(0, 1, 1, n) == 1
+        assert bar_alpha(1, 1, 1, n) == 0
+        assert bar_alpha(2, 1, 1, n) == 1
+        assert bar_alpha(3, 1, 1, n) == 0
     frozen = count(ClassSpec(row_convention=1, forbid_intersecting=True), 2, 2)
-    assert F.bar_alpha(0, 1, 2, 2) == frozen == 8
+    assert bar_alpha(0, 1, 2, 2) == frozen == 8
+
+
+def test_bar_alpha_is_the_common_vertex_sieve():
+    # the registry binds the no-common-vertex ids to the complemented cover
+    # columns; the reference is the sieve over the set of vertices common to
+    # every edge: pinning j >= 1 of them voids no-empty and keeps no-full
+    bar_alpha, bar_alpha_star = registered("bar_alpha"), registered("bar_alpha_star")
+
+    def sieve(i, conv, m, n):
+        return vertex_sieve(lambda j: F.alpha(i if j == 0 else 2 * (i // 2), conv, m, n - j), n)
+
+    for i in range(4):
+        for conv in range(1, 5):
+            for m in range(9):
+                for n in range(13):
+                    assert bar_alpha(i, conv, m, n) == sieve(i, conv, m, n), (i, conv, m, n)
+                # at n = 0 the filtration drops s(0, 0) (ROADMAP item 7)
+                for n in range(1, 13):
+                    plain = t0_transform(lambda t: sieve(i, conv, m, t), n)
+                    assert bar_alpha_star(i, conv, m, n) == plain, (i, conv, m, n)
 
 
 def test_beta_examples():
@@ -74,10 +96,13 @@ def test_beta_star_examples():
 
 def test_beta_41_is_the_singular_column_closed_form():
     # the reference of the registered beta_41_closed, written out: choose
-    # the i singular columns (all zero or all one), distinct rows on the rest
+    # the i singular columns (all zero or all one), distinct rows on the
+    # rest.  With no edge a column is all zero and all one at once, which
+    # the 2^i counts twice; there only the empty vertex set has none.
     for m in range(11):
         for n in range(13):
             closed = sum((-1) ** i * comb(n, i) * 2**i * perm(2 ** (n - i), m) for i in range(n + 1))
+            closed = closed if m else int(n == 0)
             assert F.beta(4, 1, m, n) == closed, (m, n)
             assert resolve_class("beta_41_closed").evaluate(m, n) == closed, (m, n)
 
@@ -100,13 +125,33 @@ def test_beta_is_one_flat_sieve(monkeypatch):
                 assert calls and len(calls) <= 3 * n + 1, (i, conv, m, n, len(calls))
 
 
+def test_beta_star_filters_alpha_in_linearly_many_calls(monkeypatch):
+    # the cover shifts and the excess read each of at most four alpha
+    # columns once per vertex count: at most 4n + 4 calls; filtering a
+    # sieve that is re-read at every t <= n makes about n^2 / 2
+    alpha, calls = F.alpha, []
+
+    def counting_alpha(*args):
+        calls.append(args)
+        return alpha(*args)
+
+    monkeypatch.setattr(F, "alpha", counting_alpha)
+    for i in range(8):
+        for conv in range(1, 5):
+            for m, n in ((0, 3), (2, 0), (2, 1), (3, 5), (2, 12), (1, 30)):
+                calls.clear()
+                F.beta_star(i, conv, m, n)
+                assert calls and len(calls) <= 4 * n + 4, (i, conv, m, n, len(calls))
+
+
 def test_dual_cross_table_identity():
     # transposing swaps no-empty-edges with cover and no-full with no-common
+    bar_alpha_star = registered("bar_alpha_star")
     for m in range(1, 5):
         for n in range(1, 5):
-            assert F.bar_alpha_star(1, 1, m, n) == F.beta_star(2, 1, n, m)
-            assert F.bar_alpha_star(2, 1, m, n) == F.bar_alpha_star(2, 1, n, m)
-            assert F.bar_alpha_star(1, 1, m, n) == F.bar_alpha_star(1, 1, n, m)
+            assert bar_alpha_star(1, 1, m, n) == F.beta_star(2, 1, n, m)
+            assert bar_alpha_star(2, 1, m, n) == bar_alpha_star(2, 1, n, m)
+            assert bar_alpha_star(1, 1, m, n) == bar_alpha_star(1, 1, n, m)
 
 
 def test_mu_examples():
@@ -198,18 +243,23 @@ def test_omega_star_examples():
 
 
 def test_omega_star_no_common_vertex_columns_by_linearity():
-    # omega column i >= 4 is omega column i - 4 less beta column c plus
-    # beta column c + 4, and the filtration is linear; the even columns reach
-    # omega_star through `_row_copies` over the odd ones, a separate route.
-    # m = 0 is left out: beta_star columns 4..7 are off there (ROADMAP item 7)
+    # omega_star columns 4..7 split off their one all-ones column into
+    # beta_star; the reference filters the plain connected columns instead: an odd column
+    # (no empty edge) as it stands, [n = 1] with no edge, and an even one as
+    # the odd one plus e >= 1 empty rows, which leave no common vertex, over
+    # column i - 3 on the other rows
     for i in range(4, 8):
-        c = 0 if i < 6 else 2
         for conv in range(1, 5):
             for m in range(1, 9):
                 for n in range(1, 12):
-                    assert F.omega_star(i, conv, m, n) == (
-                        F.omega_star(i - 4, conv, m, n) - F.beta_star(c, conv, m, n) + F.beta_star(c + 4, conv, m, n)
-                    ), (i, conv, m, n)
+
+                    def filtered(j, r):
+                        return t0_transform(lambda t: F.omega(j, conv, r, t), n) if r else int(n == 1)
+
+                    expected = filtered(i | 1, m)
+                    if i % 2 == 0:
+                        expected += F._row_copies(conv, m, lambda r: filtered(i - 3, r))
+                    assert F.omega_star(i, conv, m, n) == expected, (i, conv, m, n)
 
 
 def test_omega_12_symmetry():
@@ -606,14 +656,14 @@ def test_bounded_size_beyond_n_is_no_bound():
 
 @pytest.mark.parametrize(
     "starred, sieve, columns",
-    [(F.beta_star, F.beta, 8), (F.bar_alpha_star, F.bar_alpha, 4)],
+    [(F.beta_star, F.beta, 8), (registered("bar_alpha_star"), registered("bar_alpha"), 4)],
     ids=["beta_star", "bar_alpha_star"],
 )
 def test_beta_star_is_the_filtration_of_beta_beyond_the_grid(starred, sieve, columns):
-    # beta_star and bar_alpha_star filter a vertex sieve term by term (cover
-    # shift plus the filtered excess); the plain filtration of the sieve is
-    # the reference, for every (column, convention) pair far past the
-    # oracle's grid
+    # beta_star filters beta's vertex sieve term by term (cover shifts plus
+    # the filtered excess), and the bar_alpha ids are its complemented
+    # columns; the plain filtration of the sieve is the reference, for every
+    # (column, convention) pair far past the oracle's grid
     for i in range(columns):
         for conv in range(1, 5):
             for m in range(1, 13):
@@ -622,7 +672,21 @@ def test_beta_star_is_the_filtration_of_beta_beyond_the_grid(starred, sieve, col
                     assert starred(i, conv, m, n) == plain, (i, conv, m, n)
     # with no edge every vertex is isolated and common to every edge: no
     # vertex set but the empty one is covered or free of a common vertex
-    for i in range(4):
+    for i in range(columns):
         for conv in range(1, 5):
             for n in range(1, 7):
-                assert starred(i, conv, 0, n) == 0, (i, conv, n)
+                assert sieve(i, conv, 0, n) == starred(i, conv, 0, n) == 0, (i, conv, n)
+
+
+def test_no_common_vertex_columns_with_no_edge():
+    # with no edge every vertex is isolated and common to every edge at
+    # once; the reference is the one 0 x n matrix, read by the oracle's
+    # own record and spec reader (n = 0 waits for ROADMAP item 7: `alpha`
+    # column 3 is off there)
+    for name in ("beta", "beta_star", "omega", "omega_star"):
+        for i in range(4, 8):
+            for conv in range(1, 5):
+                entry = resolve_class(f"{name}_{i}{conv}")
+                for n in range(1, 7):
+                    definitional = int(features_satisfy(matrix_features([], n), entry.class_spec()))
+                    assert entry.evaluate(0, n) == definitional, (entry.class_id, n)
