@@ -11,11 +11,11 @@ in `registry._uniform_spec`.  It has no default, so a value has one cache key.
 
 No family reads the oracle, so the oracle checks every count independently.
 
-Boundary cells at n = 0 or m = 0 are taken from the natural closed forms
-(`selections` of an empty column universe).  The oracle refuses m < 1 and
-n < 1, so it confirms none of them (ROADMAP item 7).  No ad-hoc stipulation
-is hard-coded unless a recurrence needs a base value, and each such base is
-derived from first principles in the docstring of the function that uses it.
+Boundary cells at n = 0 or m = 0 are taken from the natural closed forms:
+at n = 0 the one row is both the empty and the full edge, so `alpha` column
+3 admits none.  The oracle refuses m < 1 and n < 1, so it confirms none of
+them (ROADMAP item 7).  No base value is stipulated: one a recurrence needs
+is derived from first principles in the docstring of the function using it.
 """
 
 from functools import cache
@@ -36,6 +36,7 @@ from ..transforms import (
     order_factor,
     partition_type_sum,
     t0_transform,
+    t0_transform_sets,
     vertex_sieve,
 )
 
@@ -52,9 +53,10 @@ def alpha(j, conv, m, n):
     """Hypergraph counts with empty/full-edge constraints only.
 
     j = 0 arbitrary, 1 without empty edges, 2 without full edges, 3 without
-    either; the admissible row universe has 2^n - floor((j+1)/2) patterns.
+    either; the admissible row universe has 2^n - floor((j+1)/2) patterns,
+    and is empty in column 3 at n = 0.
     """
-    return selections(conv, 2**n - (j + 1) // 2, m)
+    return selections(conv, 2**n - (j + 1) // 2 if n or j < 3 else 0, m)
 
 
 def alpha_star(j, conv, m, n):
@@ -100,16 +102,16 @@ def beta_star(i, conv, m, n):
     Filtering sum_s (-r)^s C(t, s) f(t - s) gives sum_u f(u) [x^u] [x-r]_n: at
     r = 1 the cover shift of f, as [x]_(n+1) = x [x-1]_n, and at r = 2, as
     [x-1]_(n+1) = (x-1) [x-2]_n, the cover shift one vertex wider of f's
-    running sums.  The unpinned term's excess is filtered as it stands."""
+    running sums.  The unpinned term's excess is filtered from t = 0."""
     c, h, k = _pinned_columns(i, m)
     a = {j: [alpha(j, conv, m, t) for t in range(n + 1)] for j in ({c, h} if k is None else {0, c, h, k})}
     if k is None:
-        return cover_transform(a[h].__getitem__, n) + t0_transform(lambda t: a[c][t] - a[h][t], n)
+        return cover_transform(a[h].__getitem__, n) + t0_transform_sets(lambda t: a[c][t] - a[h][t], n)
     sums = list(accumulate(a[0], initial=0))
     return (
         cover_transform(lambda t: a[h][t] + a[k][t] - 2 * a[0][t], n)
         + cover_transform(sums.__getitem__, n + 1)
-        + t0_transform(lambda t: a[c][t] - a[h][t] - a[k][t] + a[0][t], n)
+        + t0_transform_sets(lambda t: a[c][t] - a[h][t] - a[k][t] + a[0][t], n)
     )
 
 
@@ -410,13 +412,11 @@ def omega_1(conv, m, n):
     on the other n - 1 vertices) and those whose first-vertex component is
     smaller than the whole vertex set.
 
-    Boundaries: omega_1(0, 1) = 1, omega_1(0, n > 1) = 0; at n = 1 all edges
-    equal the single vertex, so the count is selections(conv, 1, m).
+    At n = 1 all edges equal the single vertex: selections(conv, 1, m).
+    With no edge and n >= 2 the head and the empty sum over edges read 0.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if m == 0:
-        return 1 if n == 1 else 0
     if n == 1:
         return selections(conv, 1, m)
     return connected_count(

@@ -80,9 +80,7 @@ class CatalogEntry:
             return self.custom_oracle(m, n, k, budget)
         return oracle.count(self.class_spec(k), m, n, budget)
 
-    def evaluate(self, m, n, k=None, errata_corrected=False):
-        if errata_corrected and self.corrected_id is not None:
-            return resolve_class(self.corrected_id).evaluate(m, n, k=k)
+    def evaluate(self, m, n, k=None):
         if self.formula is None:
             raise OracleOnlyClassError(f"{self.class_id} is oracle-only")
         if not self.needs_k:

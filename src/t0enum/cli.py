@@ -88,7 +88,7 @@ def cmd_table(args, out):
     grid = {}
     for m in m_range:
         for n in n_range:
-            grid[(m, n)] = entry.evaluate(m, n, k=k, errata_corrected=args.errata_corrected)
+            grid[(m, n)] = entry.evaluate(m, n, k=k)
     k_note = "" if k is None else f" k={k}"
     if args.format == "json":
         payload = {
@@ -206,7 +206,7 @@ def cmd_sequence(args, out):
     for m, n in cells:
         if index > args.limit:
             break
-        value = entry.evaluate(m, n, k=args.k, errata_corrected=args.errata_corrected)
+        value = entry.evaluate(m, n, k=args.k)
         out.write(f"{index} {value}\n")
         index += 1
     return EXIT_OK
@@ -255,7 +255,6 @@ def build_parser():
     p.add_argument("--n", type=_parse_range, required=True, help="inclusive range, e.g. 1..4")
     p.add_argument("--k", type=_int_in(0))
     p.add_argument("--format", choices=("tsv", "csv", "json"), default="tsv")
-    p.add_argument("--errata-corrected", action="store_true")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("oracle", help="brute-force count of one cell")
@@ -285,7 +284,6 @@ def build_parser():
     p.add_argument("--limit", type=_int_in(0), required=True)
     p.add_argument("--n-max", type=_int_in(1), default=8, help="row width for --order row")
     p.add_argument("--k", type=_int_in(0))
-    p.add_argument("--errata-corrected", action="store_true")
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("egf-check", help="check the connected table is the series log of the plain table")

@@ -303,18 +303,21 @@ def verify_grid(class_id, m_max, n_max, k=None, budget=DEFAULT_BUDGET, errata_co
     `class_id` must resolve to a catalog entry carrying both an evaluator and
     a ClassSpec (or a custom oracle).  The budget bounds the oracle side; a
     formula reads no oracle and refuses a cell only through its own caps.
-    Either refusal skips the cell.  Returns a GridReport; one ErrataRecord
-    per disagreement, an empty record list meaning the class verified.
+    Either refusal skips the cell.  `errata_corrected` checks an as-printed
+    class by its `corrected_id` entry.  Returns a GridReport: one ErrataRecord,
+    under the class's own id and reference, per disagreement; none, verified.
     """
     from . import catalog
 
-    entry = catalog.resolve_class(class_id)
+    entry = formula = catalog.resolve_class(class_id)
+    if errata_corrected and entry.corrected_id is not None:
+        formula = catalog.resolve_class(entry.corrected_id)
     report = GridReport(class_id=class_id)
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
             try:
                 oracle_value = entry.oracle_count(m, n, k=k, budget=budget)
-                formula_value = entry.evaluate(m, n, k=k, errata_corrected=errata_corrected)
+                formula_value = formula.evaluate(m, n, k=k)
             except BudgetExceededError:
                 report.skipped.append((m, n, k))
                 continue

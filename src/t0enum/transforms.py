@@ -10,8 +10,8 @@ Vocabulary (used across the package):
   * t0_transform        - signed-Stirling filtration turning plain counts
                           into distinct-column counts, sum s(n,i) a(i);
   * t0_inverse          - its Stirling-second-kind inverse;
-  * t0_transform_sets   - the same filtration for edge-set counts summed
-                          over all m (index from 0);
+  * t0_transform_sets   - the same filtration from i = 0, keeping the
+                          source's value with no vertex (`beta_star`);
   * ordered_with_repeats / order_factor - edge-multiplicity transforms
                           between the row conventions;
   * partition_type_sum  - inclusion-exclusion over vertex set partitions,
@@ -70,8 +70,8 @@ def t0_inverse(source_star, n):
 
 
 def t0_transform_sets(source, n):
-    """sum_{i=0..n} s(n, i) source(i): the filtration for counts summed over
-    all edge multisets (no multiple edges, any number of edges)."""
+    """sum_{i=0..n} s(n, i) source(i): `t0_transform` with the i = 0 term,
+    which is source(0) at n = 0 and 0 for every n >= 1."""
     return sum(stirling1(n, i) * source(i) for i in range(0, n + 1))
 
 

@@ -4,9 +4,21 @@ The brute-force ones deliberately avoid the package's own partition/transform
 code so that derived expected values come from a second route.
 """
 
+import importlib.util
 from math import comb
+from pathlib import Path
 
 from t0enum.catalog import resolve_class
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """The benchmark's module `perfbench/{name}.py`, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def registered(name):

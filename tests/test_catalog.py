@@ -31,6 +31,9 @@ def test_alpha_examples():
     assert F.alpha(0, 2, 2, 2) == 16  # 2^(mn)
     assert F.alpha(3, 2, 2, 2) == 4
     assert F.alpha(3, 2, 2, 2) == count(ClassSpec(row_convention=2, forbid_empty_edges=True, forbid_full_edges=True), 2, 2)
+    # with no vertex the one row is both the empty and the full edge, so
+    # column 3 admits none and only the matrix with no edge counts
+    assert [F.alpha(3, conv, m, 0) for conv in range(1, 5) for m in range(5)] == [1, 0, 0, 0, 0] * 4
 
 
 def test_alpha_star_examples():
@@ -681,12 +684,11 @@ def test_beta_star_is_the_filtration_of_beta_beyond_the_grid(starred, sieve, col
 def test_no_common_vertex_columns_with_no_edge():
     # with no edge every vertex is isolated and common to every edge at
     # once; the reference is the one 0 x n matrix, read by the oracle's
-    # own record and spec reader (n = 0 waits for ROADMAP item 7: `alpha`
-    # column 3 is off there)
+    # own record and spec reader (`omega` refuses n = 0)
     for name in ("beta", "beta_star", "omega", "omega_star"):
         for i in range(4, 8):
             for conv in range(1, 5):
                 entry = resolve_class(f"{name}_{i}{conv}")
-                for n in range(1, 7):
+                for n in range(0 if name.startswith("beta") else 1, 7):
                     definitional = int(features_satisfy(matrix_features([], n), entry.class_spec()))
                     assert entry.evaluate(0, n) == definitional, (entry.class_id, n)

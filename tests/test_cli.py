@@ -132,6 +132,20 @@ def test_corrected_verify_4x4_is_pinned():
         assert text.encode() == pinned.read_bytes(), size
 
 
+def test_errata_corrected_is_a_verify_option_only():
+    # table and sequence print the class's own formula; the corrected values
+    # are printed under their own id, `--class <corrected id>`
+    for argv in (
+        ("table", "--class", "beta_41_as_printed", "--m", "1..2", "--n", "1..2", "--errata-corrected"),
+        ("sequence", "--class", "beta_41_as_printed", "--limit", "3", "--errata-corrected"),
+    ):
+        assert run_cli(*argv)[0] == 2
+    code, text = run_cli(
+        "verify", "--class", "beta_41_as_printed", "--m-max", "3", "--n-max", "3", "--errata-corrected"
+    )
+    assert (code, text) == (0, "ok       beta_41_as_printed: 9 cells\n# classes checked: 1\n")
+
+
 def test_unwritable_errata_path_is_bad_args_before_any_cell(tmp_path, monkeypatch, capsys):
     def no_cell(*args, **kwargs):
         raise AssertionError("a cell ran before the errata file was opened")
@@ -240,7 +254,7 @@ def test_sequence_row_width_below_one_is_bad_args():
 )
 def test_uncaught_exception_is_internal_error_not_mismatch(argv, monkeypatch, capsys):
     # every input the CLI accepts is now answered, so force a failure
-    def broken(self, m, n, k=None, errata_corrected=False):
+    def broken(self, m, n, k=None):
         raise RuntimeError("forced")
 
     monkeypatch.setattr(catalog.CatalogEntry, "evaluate", broken)

@@ -359,10 +359,10 @@ def test_verify_grid_skips_formula_budget_refusal(monkeypatch):
 
     evaluate = CatalogEntry.evaluate
 
-    def refuse_2_3(self, m, n, k=None, errata_corrected=False):
+    def refuse_2_3(self, m, n, k=None):
         if (m, n) == (2, 3):
             raise BudgetExceededError("formula over budget")
-        return evaluate(self, m, n, k=k, errata_corrected=errata_corrected)
+        return evaluate(self, m, n, k=k)
 
     monkeypatch.setattr(CatalogEntry, "evaluate", refuse_2_3)
     report = verify_grid("alpha_02", 3, 3)

@@ -7,24 +7,15 @@ that reads an attribute a refactor renames.  This pins the names, and the
 metrics of a traced run of each command kind.
 """
 
-import importlib.util
 import io
-from pathlib import Path
+
+from conftest import load_perfbench
 
 from t0enum import cli
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_tracer_finds_every_target():
-    tracer = _load_tracer().Tracer()
+    tracer = load_perfbench("tracer").Tracer()
     try:
         tracer.install()
         assert tracer.missing == []
@@ -36,20 +27,22 @@ def test_traced_commands_report_every_metric():
     # A hook that reads a renamed attribute, or a span a refactor reroutes,
     # makes the traced run's metrics read missing or None though every name
     # above still resolves: run each command kind under the tracer.
-    module = _load_tracer()
+    module = load_perfbench("tracer")
     tracer = module.Tracer()
     commands = (
         ["verify", "--class", "bar_theta_circ_03", "--m-max", "2", "--n-max", "2"],
         ["verify", "--class", "beta_01", "--m-max", "2", "--n-max", "2"],
         ["table", "--class", "theta_star_12", "--m", "1..2", "--n", "1..3", "--k", "2"],
         ["egf-check", "--family", "2", "--order-x", "3", "--order-y", "3"],
+        ["oracle", "--class", "alpha_star_12", "--m", "4", "--n", "4"],
+        ["sequence", "--class", "omega_33", "--limit", "10"],
     )
     try:
         tracer.install()
         codes = [cli.main(argv, out=io.StringIO()) for argv in commands]
     finally:
         tracer.uninstall()
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0] * len(commands)
     report = tracer.report()
     assert report["missing"] == []
     assert [name for name, (value, _) in module.layer_metrics(report).items() if value is None] == []
