@@ -13,9 +13,9 @@ No family reads the oracle, so the oracle checks every count independently.
 
 Boundary cells at n = 0 or m = 0 are taken from the natural closed forms:
 at n = 0 the one row is both the empty and the full edge, so `alpha` column
-3 admits none.  The oracle refuses m < 1 and n < 1, so it confirms none of
-them (ROADMAP item 7).  No base value is stipulated: one a recurrence needs
-is derived from first principles in the docstring of the function using it.
+3 admits none.  The oracle counts them too, from the one empty matrix.  No
+base value is stipulated: one a recurrence needs is derived from first
+principles in the docstring of the function using it.
 """
 
 from functools import cache
@@ -36,7 +36,6 @@ from ..transforms import (
     order_factor,
     partition_type_sum,
     t0_transform,
-    t0_transform_sets,
     vertex_sieve,
 )
 
@@ -106,12 +105,12 @@ def beta_star(i, conv, m, n):
     c, h, k = _pinned_columns(i, m)
     a = {j: [alpha(j, conv, m, t) for t in range(n + 1)] for j in ({c, h} if k is None else {0, c, h, k})}
     if k is None:
-        return cover_transform(a[h].__getitem__, n) + t0_transform_sets(lambda t: a[c][t] - a[h][t], n)
+        return cover_transform(a[h].__getitem__, n) + t0_transform(lambda t: a[c][t] - a[h][t], n)
     sums = list(accumulate(a[0], initial=0))
     return (
         cover_transform(lambda t: a[h][t] + a[k][t] - 2 * a[0][t], n)
         + cover_transform(sums.__getitem__, n + 1)
-        + t0_transform_sets(lambda t: a[c][t] - a[h][t] - a[k][t] + a[0][t], n)
+        + t0_transform(lambda t: a[c][t] - a[h][t] - a[k][t] + a[0][t], n)
     )
 
 
@@ -213,11 +212,9 @@ def theta_star_0(s, m, n, k, *, bounded):
 
     The callback counts edges as block unions of total size k (at most k),
     so it reads only the blocks of at most k vertices; at m = 0 the sum
-    collapses to [n = 1] which is exactly the right boundary.  At n = 0 the
-    rows choose among the edges on no vertex.
+    collapses to [n <= 1], the right boundary.  At n = 0 its one partition
+    has no block, and the rows choose among the edges on no vertex.
     """
-    if n == 0:
-        return selections(s, _edges(0, 0, k, bounded), m)
     unions = block_union_upto if bounded else block_union_ksets
     return partition_type_sum(
         lambda tau: selections(s, unions(tau, k), m), n, max(0, min(k, n))
@@ -249,23 +246,22 @@ def theta_star_4(s, m, n, k):
     """Cover and no common vertex: the sieve of `theta_star_1` over the
     no-common-vertex column.  With no edge (m = 0) its split does not hold,
     since one vertex would be isolated and common at once: the sieve would
-    read (-1)^n n!, so the column is refused there."""
-    if m < 1:
-        raise ValueError("column defined for m >= 1")
+    read (-1)^n n!, and only the empty vertex set counts."""
+    if m == 0:
+        return int(n == 0)
     return vertex_sieve(lambda j: factorial(j) * theta_star_3(s, m, n - j, k), n)
 
 
 def _completion_count(m, t, size_set):
     """Ordered m-tuples of subsets of a t-set with sizes in size_set whose
     incidence matrix has pairwise-distinct columns, every column with at
-    least two ones.  Exhaustive but only ever called with t <= n - m.
+    least two ones.  Exhaustive but only ever called with t <= n - m; at
+    t = 0 it lists the one tuple of empty rows, if size 0 is admitted.
 
     None exists, and no pattern is listed, when t exceeds the 2^m - m - 1
     columns with two or more ones, or when those 2t or more ones exceed the
     m * max(size_set) the rows can hold.  More than MAX_COMPLETION_TUPLES
     row tuples raise BudgetExceededError before any pattern is listed."""
-    if t == 0:
-        return 1 if (m == 0 or 0 in size_set) else 0
     if t > 2**m - m - 1 or 2 * t > m * max(size_set):
         return 0
     # The patterns are counted only until they pass the cap: a wide size
@@ -412,11 +408,12 @@ def omega_1(conv, m, n):
     on the other n - 1 vertices) and those whose first-vertex component is
     smaller than the whole vertex set.
 
-    At n = 1 all edges equal the single vertex: selections(conv, 1, m).
-    With no edge and n >= 2 the head and the empty sum over edges read 0.
+    At n = 0 nothing is connected.  At n = 1 all edges equal the one vertex:
+    selections(conv, 1, m).  With no edge and n >= 2 the head and the empty
+    sum over edges read 0.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if n == 0:
+        return 0
     if n == 1:
         return selections(conv, 1, m)
     return connected_count(
@@ -436,10 +433,10 @@ def omega(i, conv, m, n):
     without a common vertex (the subtracted connected-and-intersecting counts
     are exactly the covers with a common vertex).
     """
+    if n == 0:  # nothing is connected on no vertex
+        return 0
     if i == 0:
         # column 1 plus those with e >= 1 empty rows (one at most when distinct)
-        if m == 0:
-            return 1 if n == 1 else 0
         return omega_1(conv, m, n) + _row_copies(conv, m, lambda r: omega_1(conv, r, n))
     if i == 1:
         return omega_1(conv, m, n)
@@ -495,13 +492,13 @@ def bar_omega_star_0(s, m, n, k, *, bounded):
     The component recurrence (`transforms.connected_count`) driven by the
     theta_star tables: theta_star_1(n - 1) of them leave the first vertex in
     no edge (distinct columns make the rest a cover), and theta_star_0 at
-    m = 0 is [n = 1], which is the leftover-isolated-vertex boundary the
-    recurrence needs.  Every hypergraph on one vertex is connected.  At
-    k = 0 no two vertices are, and the recurrence is not run: exact size 0
-    makes every edge empty, in no component, and sizes 1..0 admit none.
+    m = 0 and n >= 1 is [n = 1], the leftover-isolated-vertex boundary the
+    recurrence needs.  Nothing is connected at n = 0, everything at n = 1.
+    At k = 0 no two vertices are, and the recurrence is not run: exact size
+    0 makes every edge empty, in no component, and sizes 1..0 admit none.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if n == 0:
+        return 0
     if n == 1:
         return theta_star_0(s, m, 1, k, bounded=bounded)
     if k == 0:

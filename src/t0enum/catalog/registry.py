@@ -356,7 +356,7 @@ def _graph_oracle(spec, m, n, k, budget):
     """Graphs whose covered vertices have distinct columns: on the j covered
     vertices the graph is a distinct-column cover.  The largest set of
     covered vertices is priced first, so an over-budget cell runs no walk."""
-    return sum(comb(n, j) * oracle.count(spec, m, j, budget) for j in range(n, 0, -1))
+    return sum(comb(n, j) * oracle.count(spec, m, j, budget) for j in range(n, -1, -1))
 
 
 # Loops are the size-1 edges of the bounded sizes 1..2.  A cover column is

@@ -35,12 +35,7 @@ def binom(i, j):
 
 
 def falling(x, j):
-    """Falling factorial x (x-1) ... (x-j+1), with [x]_0 = 1.
-
-    Accepts negative x (polynomial semantics): transform sums may formally
-    evaluate the falling factorial below zero and the closed forms still
-    cancel correctly.
-    """
+    """Falling factorial x (x-1) ... (x-j+1), with [x]_0 = 1."""
     if j < 0:
         raise ValueError("falling factorial needs j >= 0")
     result = 1
@@ -96,11 +91,12 @@ def partition_types(n, k):
     k >= n only r = 0 is left: the p(n) whole types.  Order: lexicographic
     on the tuple.  The parts are filled from the largest size down and
     parts of size 1 pick what they leave over, so every branch ends in
-    types.  n < 1 or k < 0 raises ValueError, and n above
-    MAX_PARTITION_TYPE_N raises BudgetExceededError.
+    types.  The empty set has one type, (), as it has one partition.
+    n < 0 or k < 0 raises ValueError, and n above MAX_PARTITION_TYPE_N
+    raises BudgetExceededError.
     """
-    if n < 1 or k < 0:
-        raise ValueError("partition types need n >= 1 and k >= 0")
+    if n < 0 or k < 0:
+        raise ValueError("partition types need n >= 0 and k >= 0")
     if n > MAX_PARTITION_TYPE_N:
         raise BudgetExceededError(f"partition types of n = {n} exceed the cap n <= {MAX_PARTITION_TYPE_N}")
     k = min(k, n)

@@ -92,7 +92,8 @@ class MatrixFeatures(NamedTuple):
     * t0: every two vertices are separated by some edge;
     * connected: every two vertices are joined by a chain of pairwise
       intersecting edges.  Empty edges merge nothing, an isolated vertex
-      with n >= 2 breaks it, and n = 1 is connected whatever the edges;
+      with n >= 2 breaks it, n = 1 is connected whatever the edges, and
+      n = 0 is not connected;
     * minimal: a cover that deleting any one edge uncovers;
     * row_min, row_max, col_min, col_max: the least and greatest edge size
       and vertex degree.  A side with no member (m = 0 or n = 0) has the

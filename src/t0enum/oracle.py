@@ -149,6 +149,9 @@ def _walk_multisets(m, n, side):
     ones = [[j for j in range(width) if code >> j & 1] for code in range(1 << width)]
     walked, carried = [0] * k, [0] * width
     rows, cols = (walked, carried) if side == "rows" else (carried, walked)
+    if not k:  # no code to place: the one empty matrix is the one leaf
+        record = _feature_record(rows, n, cols)
+        return Counter({record: 1}), Counter({record: 1})
 
     def extend(depth, low, gaps, run, denominator):
         # walked[:depth] is canonical; field p of gaps is bias plus
@@ -247,9 +250,8 @@ def count(spec, m, n, budget=DEFAULT_BUDGET):
     restricted to pairwise-distinct rows.  The spec is read once through
     `compile_spec`, with the rows_distinct bit added for conventions 1 and
     3, and the cell's grouped records through `hypercore.admitted_weight`.
+    An empty side (m = 0 or n = 0) leaves one matrix, counted by its record.
     """
-    if m < 1 or n < 1:
-        raise ValueError("oracle counts need m >= 1 and n >= 1")
     conv = spec.row_convention
     budget.check(m, n)
     mask, want, bounds = compile_spec(spec)

@@ -8,10 +8,10 @@ Vocabulary (used across the package):
   * vertex_sieve        - inclusion-exclusion over i pinned vertices,
                           sum (-1)^i C(n,i) pinned(i);
   * t0_transform        - signed-Stirling filtration turning plain counts
-                          into distinct-column counts, sum s(n,i) a(i);
+                          into distinct-column counts, sum s(n,i) a(i),
+                          which keeps the source's value with no vertex;
   * t0_inverse          - its Stirling-second-kind inverse;
-  * t0_transform_sets   - the same filtration from i = 0, keeping the
-                          source's value with no vertex (`beta_star`);
+  * t0_transform_sets   - the same filtration, reading i = 0 at every n;
   * ordered_with_repeats / order_factor - edge-multiplicity transforms
                           between the row conventions;
   * partition_type_sum  - inclusion-exclusion over vertex set partitions,
@@ -60,8 +60,9 @@ def vertex_sieve(pinned, n):
 
 
 def t0_transform(source, n):
-    """sum_{i=1..n} s(n, i) source(i): plain counts -> distinct-column counts."""
-    return sum(stirling1(n, i) * source(i) for i in range(1, n + 1))
+    """sum_{i=0..n} s(n, i) source(i): plain counts -> distinct-column counts.
+    s(n, 0) = [n = 0], so i = 0 is read at n = 0 only, and n < 0 reads none."""
+    return sum(stirling1(n, i) * source(i) for i in range(0 if n == 0 else 1, n + 1))
 
 
 def t0_inverse(source_star, n):
@@ -70,8 +71,7 @@ def t0_inverse(source_star, n):
 
 
 def t0_transform_sets(source, n):
-    """sum_{i=0..n} s(n, i) source(i): `t0_transform` with the i = 0 term,
-    which is source(0) at n = 0 and 0 for every n >= 1."""
+    """sum_{i=0..n} s(n, i) source(i): `t0_transform`, reading i = 0 at every n."""
     return sum(stirling1(n, i) * source(i) for i in range(0, n + 1))
 
 
@@ -105,7 +105,7 @@ def _long_cycle_signs(n, k):
 @cache
 def _signed_cycle_types(n, k):
     # (tau, weight) for every type of n truncated at k, in type order
-    types = partition_types(n, k)  # refuses n < 1 or over the cap first
+    types = partition_types(n, k)  # refuses n < 0 or over the cap first
     g = _long_cycle_signs(n, k)
     weights = []
     for tau in types:
@@ -137,9 +137,9 @@ def partition_type_sum(alpha_tau, n, k):
     plain sum over whole types.
 
     The weights are built once per (n, k) and memoized; only alpha_tau is
-    called per sum.  n < 1 raises ValueError, and n above
-    exactmath.MAX_PARTITION_TYPE_N raises BudgetExceededError before any
-    type is built.
+    called per sum.  n = 0 has one partition, with no block.  n < 0 raises
+    ValueError, and n above exactmath.MAX_PARTITION_TYPE_N raises
+    BudgetExceededError before any type is built.
     """
     return sum(c * alpha_tau(tau) for tau, c in _signed_cycle_types(n, k))
 

@@ -12,6 +12,9 @@ from t0enum.catalog import resolve_class
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
+# The cells with m = 0 or n = 0: each holds one matrix, the empty one.
+EMPTY_CELLS = [(0, n) for n in range(7)] + [(m, 0) for m in range(1, 7)]
+
 
 def load_perfbench(name):
     """The benchmark's module `perfbench/{name}.py`, loaded by path."""

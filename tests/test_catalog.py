@@ -11,7 +11,7 @@ from math import comb, factorial, perm
 
 import pytest
 from brute_reference import brute_counts
-from conftest import registered
+from conftest import EMPTY_CELLS, registered
 
 from t0enum import catalog
 from t0enum.catalog import families as F
@@ -21,7 +21,7 @@ from t0enum.catalog import (
     manifest,
     resolve_class,
 )
-from t0enum.hypercore import ClassSpec, features_satisfy, matrix_features
+from t0enum.hypercore import ClassSpec
 from t0enum.oracle import count, verify_grid
 from t0enum.transforms import t0_transform, vertex_sieve
 
@@ -31,9 +31,6 @@ def test_alpha_examples():
     assert F.alpha(0, 2, 2, 2) == 16  # 2^(mn)
     assert F.alpha(3, 2, 2, 2) == 4
     assert F.alpha(3, 2, 2, 2) == count(ClassSpec(row_convention=2, forbid_empty_edges=True, forbid_full_edges=True), 2, 2)
-    # with no vertex the one row is both the empty and the full edge, so
-    # column 3 admits none and only the matrix with no edge counts
-    assert [F.alpha(3, conv, m, 0) for conv in range(1, 5) for m in range(5)] == [1, 0, 0, 0, 0] * 4
 
 
 def test_alpha_star_examples():
@@ -70,8 +67,6 @@ def test_bar_alpha_is_the_common_vertex_sieve():
             for m in range(9):
                 for n in range(13):
                     assert bar_alpha(i, conv, m, n) == sieve(i, conv, m, n), (i, conv, m, n)
-                # at n = 0 the filtration drops s(0, 0) (ROADMAP item 7)
-                for n in range(1, 13):
                     plain = t0_transform(lambda t: sieve(i, conv, m, t), n)
                     assert bar_alpha_star(i, conv, m, n) == plain, (i, conv, m, n)
 
@@ -444,34 +439,13 @@ def test_bounded_completion_sizes_stop_at_the_free_vertices():
 
 
 def test_fixed_size_families_without_edges():
-    # with no edge (m = 0) every vertex is isolated and lies in every edge:
-    # only the empty vertex set is a cover or free of a common vertex,
-    # distinct columns leave at most one (empty) column, and one vertex is
-    # connected
+    # the `theta` columns no class id binds: with no edge (m = 0) only the
+    # empty vertex set is a minimal cover, with or without a common vertex
     for n in range(6):
-        assert F.mu_41(0, n) == (n == 0)
-        for bounded in (False, True):
-            for k in range(4):
-                assert F.theta(0, 0, n, k, bounded=bounded) == 1
-                for j in range(1, 6):
-                    assert F.theta(j, 0, n, k, bounded=bounded) == (n == 0), (j, n, k, bounded)
-                assert F.theta_star_21(0, n, k, bounded=bounded) == (n == 0)
-                for s in range(1, 5):
-                    assert F.theta_star_0(s, 0, n, k, bounded=bounded) == (n <= 1)
-                    assert F.theta_star_1(s, 0, n, k, bounded=bounded) == (n == 0)
-                    assert F.theta_star_3(s, 0, n, k) == (n == 0)
-                    if n >= 1:
-                        assert F.bar_omega_star_0(s, 0, n, k, bounded=bounded) == (n == 1), (s, n, k, bounded)
-
-
-def test_connected_fixed_size_refuses_no_vertex():
-    # the component recurrence needs a first vertex; n = 0 is refused before
-    # any theta_star table is read, as omega_1 refuses it
-    for bounded in (False, True):
-        for k in range(3):
-            for s in range(1, 5):
-                with pytest.raises(ValueError, match="need n >= 1"):
-                    F.bar_omega_star_0(s, 2, 0, k, bounded=bounded)
+        for k in range(4):
+            for bounded in (False, True):
+                assert F.theta(2, 0, n, k, bounded=bounded) == (n == 0), (n, k, bounded)
+            assert F.theta(5, 0, n, k, bounded=False) == (n == 0), (n, k)
 
 
 _EVALUATE_IN_ORDER = """
@@ -681,14 +655,15 @@ def test_beta_star_is_the_filtration_of_beta_beyond_the_grid(starred, sieve, col
                 assert sieve(i, conv, 0, n) == starred(i, conv, 0, n) == 0, (i, conv, n)
 
 
-def test_no_common_vertex_columns_with_no_edge():
-    # with no edge every vertex is isolated and common to every edge at
-    # once; the reference is the one 0 x n matrix, read by the oracle's
-    # own record and spec reader (`omega` refuses n = 0)
-    for name in ("beta", "beta_star", "omega", "omega_star"):
-        for i in range(4, 8):
-            for conv in range(1, 5):
-                entry = resolve_class(f"{name}_{i}{conv}")
-                for n in range(0 if name.startswith("beta") else 1, 7):
-                    definitional = int(features_satisfy(matrix_features([], n), entry.class_spec()))
-                    assert entry.evaluate(0, n) == definitional, (entry.class_id, n)
+def test_every_formula_class_is_the_oracle_on_an_empty_side():
+    # with m = 0 or n = 0 the cell holds one matrix, the empty one, and the
+    # oracle's count of it is the one definition there; every class with
+    # its own formula reads it, the two graph classes included.  The
+    # as-printed classes keep their literal text
+    for cid in catalog.formula_class_ids():
+        entry = resolve_class(cid)
+        if entry.kind == "as-printed":
+            continue
+        for k in (0, 1, 2, 3) if entry.needs_k else (None,):
+            for m, n in EMPTY_CELLS:
+                assert entry.evaluate(m, n, k) == entry.oracle_count(m, n, k), (cid, m, n, k)

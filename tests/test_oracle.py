@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 from brute_reference import brute_counts, count_dual, feature_counters, random_spec
+from conftest import EMPTY_CELLS
 
 from t0enum import oracle
 from t0enum.exactmath import falling, stirling2
@@ -38,33 +39,34 @@ REFERENCE_SPECS = [
 ]
 
 
+def _cells(area):
+    """EMPTY_CELLS, then every cell with m, n >= 1 and m * n <= area."""
+    return EMPTY_CELLS + [(m, n) for m in range(1, area + 1) for n in range(1, area // m + 1)]
+
+
 def test_count_matches_direct_filter():
     # the orbit-weighted multiset walk must agree with a literal enumeration
-    # of every ordered matrix + satisfies, on every cell with m*n <= 12
+    # of every ordered matrix + satisfies, on every cell with m*n <= 12 and
+    # on the empty cells
     budget = OracleBudget(max_cells=12)
-    for m in range(1, 13):
-        for n in range(1, 12 // m + 1):
-            expected = brute_counts(REFERENCE_SPECS, m, n)
-            for spec, by_convention in zip(REFERENCE_SPECS, expected):
-                got = [
-                    count(replace(spec, row_convention=c), m, n, budget=budget)
-                    for c in (1, 2, 3, 4)
-                ]
-                assert got == by_convention, (spec, m, n)
+    for m, n in _cells(12):
+        expected = brute_counts(REFERENCE_SPECS, m, n)
+        for spec, by_convention in zip(REFERENCE_SPECS, expected):
+            got = [count(replace(spec, row_convention=c), m, n, budget=budget) for c in (1, 2, 3, 4)]
+            assert got == by_convention, (spec, m, n)
 
 
 def test_count_matches_direct_filter_for_random_specs():
     # the compiled spec (flag mask, size intervals, the rows_distinct bit of
     # conventions 1 and 3) against a literal enumeration, for random specs
-    # in every convention, on every cell with m*n <= 9
+    # in every convention, on every cell with m*n <= 9 and on the empty cells
     rng = random.Random(2770)
     specs = [random_spec(rng) for _ in range(40)]
-    for m in range(1, 10):
-        for n in range(1, 9 // m + 1):
-            expected = brute_counts(specs, m, n)
-            for spec, by_convention in zip(specs, expected):
-                got = [count(replace(spec, row_convention=c), m, n) for c in (1, 2, 3, 4)]
-                assert got == by_convention, (spec, m, n)
+    for m, n in _cells(9):
+        expected = brute_counts(specs, m, n)
+        for spec, by_convention in zip(specs, expected):
+            got = [count(replace(spec, row_convention=c), m, n) for c in (1, 2, 3, 4)]
+            assert got == by_convention, (spec, m, n)
 
 
 def _features(records):
@@ -73,20 +75,20 @@ def _features(records):
 
 def test_feature_counters_match_literal_enumeration():
     # the walk's canonical prefixes, carried codes, multiplicity runs and
-    # orbit weights, checked record by record on every cell with m*n <= 12:
-    # both Counters of the narrow side's walk (convention 3 reads the
-    # multisets with distinct rows), and of both sides where m, n <= 4 (the
-    # wide side of (12, 1) would test 12! permutations per step)
-    for m in range(1, 13):
-        for n in range(1, 12 // m + 1):
-            expected = feature_counters(m, n)
-            sides = ("rows", "columns") if max(m, n) <= 4 else ("rows" if n <= m else "columns",)
-            for side in sides:
-                multisets, ordered = oracle._walk_multisets(m, n, side)
-                assert _features(ordered) == expected["ordered"], (side, m, n)
-                assert _features(multisets) == expected["multisets"], (side, m, n)
-                sets = Counter({f: c for f, c in _features(multisets).items() if f.rows_distinct})
-                assert sets == expected["sets"], (side, m, n)
+    # orbit weights, checked record by record on every cell with m*n <= 12
+    # and on the empty cells: both Counters of the narrow side's walk
+    # (convention 3 reads the multisets with distinct rows), and of both
+    # sides where m, n <= 4 (the wide side of (12, 1) would test 12!
+    # permutations per step)
+    for m, n in _cells(12):
+        expected = feature_counters(m, n)
+        sides = ("rows", "columns") if max(m, n) <= 4 else ("rows" if n <= m else "columns",)
+        for side in sides:
+            multisets, ordered = oracle._walk_multisets(m, n, side)
+            assert _features(ordered) == expected["ordered"], (side, m, n)
+            assert _features(multisets) == expected["multisets"], (side, m, n)
+            sets = Counter({f: c for f, c in _features(multisets).items() if f.rows_distinct})
+            assert sets == expected["sets"], (side, m, n)
 
 
 def test_ordered_request_walks_the_cheaper_side(monkeypatch):

@@ -19,6 +19,7 @@ ALLOWED_WITHOUT_CALLER = {
     # targets of perfbench/tracer.py, which a benchmark change may drop
     "satisfies",
     "t0_inverse",
+    "t0_transform_sets",
     "ordered_with_repeats",
     "egf_log_check",
 }

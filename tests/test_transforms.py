@@ -42,6 +42,22 @@ def test_t0_transform_examples():
     assert value == count(spec, 2, 2)
 
 
+def test_t0_transform_reads_no_vertex_only_at_n_zero():
+    # s(n, 0) = [n = 0]: the filtration keeps the source's value with no
+    # vertex at n = 0 and reads source(0) at no other n, where its term is 0
+    # and each read would cost a whole source evaluation
+    for n in range(13):
+        reads = []
+
+        def source(i):
+            reads.append(i)
+            return 7 + i
+
+        assert t0_transform(source, n) == t0_transform_sets(lambda i: 7 + i, n)
+        assert reads.count(0) == (n == 0), n
+    assert t0_transform(lambda i: 1 / 0, -1) == 0  # n < 0 reads nothing
+
+
 @pytest.mark.parametrize("m", range(7))
 @pytest.mark.parametrize("n", range(7))
 def test_vertex_sieve_counts_covers_among_all_ordered_matrices(m, n):
