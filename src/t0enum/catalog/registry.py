@@ -11,7 +11,6 @@ evaluator through `corrected_id`.
 import json
 from dataclasses import asdict, dataclass
 from functools import partial
-from math import comb
 
 from .. import oracle
 from ..hypercore import ClassSpec, MissingParameterError
@@ -34,12 +33,11 @@ class CatalogEntry:
 
     `formula` takes (m, n), or (m, n, k) when the class needs k; `evaluate`
     picks the call from `needs_k`.  No formula reads the oracle, so only
-    `oracle_count` takes an oracle budget.  Only the two `_03` graph
-    classes, which have no spec, give a `custom_oracle`.  Three facts are
-    derived rather than stated: `needs_k` is whether `spec_for_k` is set;
-    `convention` is the spec's row convention unless given (only a
-    custom-oracle entry gives it); `kind` is "oracle-only" without a formula
-    and "as-printed" when `corrected_id` is set, else as given.
+    `oracle_count` takes an oracle budget, and every class counts through
+    `oracle.count` of its spec.  Three facts are derived rather than
+    stated: `needs_k` is whether `spec_for_k` is set; `convention` is the
+    spec's row convention; `kind` is "oracle-only" without a formula and
+    "as-printed" when `corrected_id` is set, else as given.
     """
 
     class_id: str
@@ -48,23 +46,27 @@ class CatalogEntry:
     spec: ClassSpec = None
     spec_for_k: object = None  # callable(k) -> ClassSpec
     formula: object = None  # callable(m, n) or, with needs_k, (m, n, k) -> int
-    custom_oracle: object = None  # callable(m, n, k, budget) -> int
     corrected_id: str = None
     convention_probe: str = None
     notes: str = ""
-    convention: int = None
+
+    # Not a field: no class has a custom oracle, but the benchmark tracer's
+    # `catalog.oracle_count` hook (perfbench/tracer.py:146) reads it.
+    custom_oracle = None
 
     def __post_init__(self):
         if self.formula is None:
             self.kind = "oracle-only"
         elif self.corrected_id is not None:
             self.kind = "as-printed"
-        if self.convention is None:
-            self.convention = self.class_spec(k=2).row_convention
 
     @property
     def needs_k(self):
         return self.spec_for_k is not None
+
+    @property
+    def convention(self):
+        return self.class_spec(k=2).row_convention
 
     def class_spec(self, k=None):
         if self.spec is not None:
@@ -76,8 +78,6 @@ class CatalogEntry:
         return self.spec_for_k(k)
 
     def oracle_count(self, m, n, k=None, budget=DEFAULT_BUDGET):
-        if self.custom_oracle is not None:
-            return self.custom_oracle(m, n, k, budget)
         return oracle.count(self.class_spec(k), m, n, budget)
 
     def evaluate(self, m, n, k=None):
@@ -352,15 +352,9 @@ for _cid, _reference, _formula, _conv, _flags in (
 # ---------------------------------------------------------------------------
 # graphs without isolated-edge components (fixed k = 2) and their dual covers
 
-def _graph_oracle(spec, m, n, k, budget):
-    """Graphs whose covered vertices have distinct columns: on the j covered
-    vertices the graph is a distinct-column cover.  The largest set of
-    covered vertices is priced first, so an over-budget cell runs no walk."""
-    return sum(comb(n, j) * oracle.count(spec, m, j, budget) for j in range(n, -1, -1))
-
-
-# Loops are the size-1 edges of the bounded sizes 1..2.  A cover column is
-# the distinct-column cover class at k = 2.
+# Loops are the size-1 edges of the bounded sizes 1..2.  Two covered vertices
+# of a graph share their column only as a lone edge, so a plain column is T0
+# on the covered vertices, and a cover column the distinct-column covers.
 for _name, _loops, _reference_03, _reference_13 in (
     ("bar_theta_circ", False,
      "pair-component sieve over graphs: sum (-1)^k pairings * C(C(n-2k,2), m-k)",
@@ -368,16 +362,17 @@ for _name, _loops, _reference_03, _reference_13 in (
     ("bbar_theta_circ", True, "pair-component sieve over graphs with loops admitted",
      "isolated-vertex sieve over the loops variant"),
 ):
-    _cover_spec = _uniform_spec(3, 2, bounded=_loops, require_t0=True, **_COVER)
     _register(
         f"{_name}_03",
         _reference_03,
-        convention=3,
-        custom_oracle=partial(_graph_oracle, _cover_spec),
+        spec=_uniform_spec(3, 2, bounded=_loops, require_covered_t0=True),
         formula=partial(F.bar_theta_circ_03, loops=_loops),
     )
     _register(
-        f"{_name}_13", _reference_13, spec=_cover_spec, formula=partial(F.bar_theta_circ_13, loops=_loops)
+        f"{_name}_13",
+        _reference_13,
+        spec=_uniform_spec(3, 2, bounded=_loops, require_t0=True, **_COVER),
+        formula=partial(F.bar_theta_circ_13, loops=_loops),
     )
 
 _register(
@@ -445,7 +440,7 @@ def manifest():
             "convention": e.convention,
             "needs_k": e.needs_k,
             "kind": e.kind,
-            "oracle": "custom" if e.custom_oracle else "class-spec",
+            "oracle": "class-spec",
             "spec_example": None if spec is None else asdict(spec),
             "notes": e.notes,
         })

@@ -6,7 +6,7 @@ incidence matrix: row i is edge i, column j is vertex j.  Rows are Python int
 bitmasks with vertex j on bit j-1 (little-endian); this makes the multiset
 row order and all table outputs bit-exact reproducible.
 
-`_feature_record` computes a matrix's `MatrixFeatures`: 8 flags and the
+`_feature_record` computes a matrix's `MatrixFeatures`: 9 flags and the
 least and greatest size on each side.  `compile_spec` turns a spec into a
 mask over the flag bits and a size interval per side, once per spec.
 `group_records` groups weighted records by their flag bits, and
@@ -48,6 +48,7 @@ class ClassSpec:
     require_connected: bool = False
     require_minimal_cover: bool = False
     require_t0: bool = False
+    require_covered_t0: bool = False
     uniformity: tuple = None
     vertex_degree: tuple = None
 
@@ -77,7 +78,7 @@ class ClassSpec:
 
 
 class MatrixFeatures(NamedTuple):
-    """Per-matrix facts sufficient to evaluate any ClassSpec: the 8 flags,
+    """Per-matrix facts sufficient to evaluate any ClassSpec: the 9 flags,
     then the least and greatest size on each side.
 
     The oracle counts matrices per distinct record, so it can evaluate many
@@ -95,6 +96,7 @@ class MatrixFeatures(NamedTuple):
       with n >= 2 breaks it, n = 1 is connected whatever the edges, and
       n = 0 is not connected;
     * minimal: a cover that deleting any one edge uncovers;
+    * covered_t0: t0 among the covered vertices, whose columns are distinct;
     * row_min, row_max, col_min, col_max: the least and greatest edge size
       and vertex degree.  A side with no member (m = 0 or n = 0) has the
       empty min +inf and max -inf, so every size bound on it holds.
@@ -110,6 +112,7 @@ class MatrixFeatures(NamedTuple):
     t0: bool
     connected: bool
     minimal: bool
+    covered_t0: bool
     row_min: int
     row_max: int
     col_min: int
@@ -117,7 +120,7 @@ class MatrixFeatures(NamedTuple):
 
 
 # Bits of a record's flag pattern, in `MatrixFeatures` field order.
-ROWS_DISTINCT, EMPTY_EDGE, FULL_EDGE, COVER, COMMON_VERTEX, T0, CONNECTED, MINIMAL = (1 << i for i in range(8))
+ROWS_DISTINCT, EMPTY_EDGE, FULL_EDGE, COVER, COMMON_VERTEX, T0, CONNECTED, MINIMAL, COVERED_T0 = (1 << i for i in range(9))
 
 
 def matrix_features(rows, n):
@@ -131,10 +134,10 @@ def _feature_record(rows, n, cols):
     """The `MatrixFeatures` fields of the matrix with these rows on n
     vertices, as a plain tuple in field order; `cols` are its columns,
     vertex j as an int with edge i on bit i-1.  Every column predicate is
-    read off one set of the columns: t0 is distinct columns, and minimal is
-    a cover where every edge i has a private vertex, the column of edge i
-    alone.  The oracle walk calls this directly, with columns it extends one
-    row at a time."""
+    read off one set of the columns: t0 is distinct columns, covered_t0
+    distinct nonzero columns, and minimal is a cover where every edge i has
+    a private vertex, the column of edge i alone.  The oracle walk calls
+    this directly, with columns it extends one row at a time."""
     m = len(rows)
     col_set = set(cols)
     cover = 0 not in col_set
@@ -150,6 +153,7 @@ def _feature_record(rows, n, cols):
         len(col_set) == n,  # t0
         _connected(rows, n, cover),  # connected
         cover and all((1 << i) in col_set for i in range(m)),  # minimal
+        len(col_set) - (0 in col_set) == n - cols.count(0),  # covered_t0
         min(row_sizes, default=inf),
         max(row_sizes, default=-inf),
         min(col_sizes, default=inf),
@@ -193,6 +197,7 @@ _SPEC_FLAGS = (
     ("forbid_intersecting", COMMON_VERTEX, False),
     ("require_minimal_cover", MINIMAL, True),
     ("require_connected", CONNECTED, True),
+    ("require_covered_t0", COVERED_T0, True),
 )
 
 
@@ -231,8 +236,8 @@ def group_records(records):
     of (row_min, row_max, col_min, col_max))}`."""
     groups = {}
     for record, weight in records.items():
-        bits = sum(1 << i for i, flag in enumerate(record[:8]) if flag)
-        groups.setdefault(bits, Counter())[record[8:]] += weight
+        bits = sum(1 << i for i, flag in enumerate(record[:9]) if flag)
+        groups.setdefault(bits, Counter())[record[9:]] += weight
     return {bits: (sum(sizes.values()), sizes) for bits, sizes in groups.items()}
 
 

@@ -35,8 +35,8 @@ other side for the current prefix (walked code i owns bit i of every
 carried code) and its running prod(mult!) denominator; no leaf rebuilds
 either.
 Leaves are counted as plain feature tuples (`hypercore._feature_record`,
-given the rows and the columns in their true roles): 8 flags and the least
-and greatest size on each side, the 12 facts a spec reads.  When the walk
+given the rows and the columns in their true roles): 9 flags and the least
+and greatest size on each side, the 13 facts a spec reads.  When the walk
 ends, each kind's records are grouped by their flag bits, each group with
 its total weight (`hypercore.group_records`).
 
@@ -303,11 +303,11 @@ def verify_grid(class_id, m_max, n_max, k=None, budget=DEFAULT_BUDGET, errata_co
     """Evaluate formula and oracle on every in-budget cell of a class.
 
     `class_id` must resolve to a catalog entry carrying both an evaluator and
-    a ClassSpec (or a custom oracle).  The budget bounds the oracle side; a
-    formula reads no oracle and refuses a cell only through its own caps.
-    Either refusal skips the cell.  `errata_corrected` checks an as-printed
-    class by its `corrected_id` entry.  Returns a GridReport: one ErrataRecord,
-    under the class's own id and reference, per disagreement; none, verified.
+    a ClassSpec.  The budget bounds the oracle side; a formula reads no
+    oracle and refuses a cell only through its own caps.  Either refusal
+    skips the cell.  `errata_corrected` checks an as-printed class by its
+    `corrected_id` entry.  Returns a GridReport: one ErrataRecord, under the
+    class's own id and reference, per disagreement; none, verified.
     """
     from . import catalog
 

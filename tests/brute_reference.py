@@ -2,9 +2,10 @@
 
 The class properties are written here from their definitions, over row
 bitmasks (vertex j on bit j), and share no code with `t0enum.hypercore`:
-T0 checks every pair of vertices for a separating edge, connectivity is
-reachability from vertex 0, and a minimal cover stops being a cover when any
-one edge is deleted.  `literal_features` assembles them into the package's
+T0 checks every pair of vertices for a separating edge, T0 on the covered
+vertices every pair that edges hold, connectivity is reachability from
+vertex 0, and a minimal cover stops being a cover when any one edge is
+deleted.  `literal_features` assembles them into the package's
 `MatrixFeatures` record type, each side's sizes as their least and greatest,
 and `satisfies` tests a spec against them directly.  `random_spec` draws the
 specs that pin the package's compiled truth table to `satisfies`.
@@ -73,6 +74,14 @@ def is_t0(rows, n):
     )
 
 
+def is_covered_t0(rows, n):
+    """Every two vertices that some edge holds are separated by an edge
+    holding exactly one."""
+    held = union(rows)
+    covered = [v for v in range(n) if held >> v & 1]
+    return all(any(((r >> u) ^ (r >> v)) & 1 for r in rows) for u, v in combinations(covered, 2))
+
+
 def is_connected(rows, n):
     """Every vertex is reachable from vertex 0, stepping from a vertex to
     every vertex of an edge that holds it."""
@@ -106,6 +115,7 @@ def literal_features(rows, n):
         t0=is_t0(rows, n),
         connected=is_connected(rows, n),
         minimal=is_minimal_cover(rows, n),
+        covered_t0=is_covered_t0(rows, n),
         # the empty min is +inf and the empty max -inf
         row_min=min((r.bit_count() for r in rows), default=inf),
         row_max=max((r.bit_count() for r in rows), default=-inf),
@@ -118,6 +128,8 @@ def satisfies(rows, n, spec):
     """Whether the matrix meets every enabled constraint of the spec (its row
     convention is not read), each property tested from its definition."""
     if spec.require_t0 and not is_t0(rows, n):
+        return False
+    if spec.require_covered_t0 and not is_covered_t0(rows, n):
         return False
     if spec.forbid_empty_edges and 0 in rows:
         return False
@@ -164,6 +176,7 @@ def random_spec(rng):
         require_connected=rng.random() < 0.3,
         require_minimal_cover=rng.random() < 0.2,
         require_t0=rng.random() < 0.5,
+        require_covered_t0=rng.random() < 0.3,
         uniformity=uniformity,
         vertex_degree=vertex_degree,
     )

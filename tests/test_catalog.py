@@ -211,8 +211,8 @@ def test_two_cover_examples():
 def test_two_cover_against_graph_enumeration(class_id):
     # n = 5 lies beyond the verify --all grid, so the loops route is checked
     # here directly: a `_13` class against the spec oracle of its
-    # distinct-column covers, a `_03` class against their sum over the sets
-    # of covered vertices
+    # distinct-column covers, a `_03` class against that of its graphs with
+    # T0 on the covered vertices
     entry = resolve_class(class_id)
     for m in range(1, 6):
         for n in range(1, 6):
@@ -367,6 +367,12 @@ def test_registered_classes_present():
             assert other is None or resolve_class(other).has_formula, (cid, other)
 
 
+def test_every_class_counts_through_its_spec():
+    # one oracle path: every id, the graph classes included, has a spec
+    for cid in catalog.all_class_ids():
+        assert resolve_class(cid).class_spec(k=2) is not None, cid
+
+
 def test_every_formula_class_evaluates():
     for cid in catalog.formula_class_ids():
         entry = resolve_class(cid)
@@ -509,11 +515,10 @@ def test_every_k_class_verifies_at_k_zero():
 
 
 def _own_formula_entries():
-    # entries whose value is the formula's own: not as printed and not
-    # checked by a custom oracle
+    # entries whose value is the formula's own: not as printed
     for cid in catalog.formula_class_ids():
         entry = resolve_class(cid)
-        if entry.kind != "as-printed" and entry.custom_oracle is None:
+        if entry.kind != "as-printed":
             yield entry
 
 

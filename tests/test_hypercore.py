@@ -112,6 +112,17 @@ def test_t0_has_at_most_one_zero_column():
                     assert literal.transpose(rows, n).count(0) <= 1
 
 
+def test_t0_is_covered_t0_with_at_most_one_zero_column():
+    # a zero column is separated from every nonzero one, so only two zero
+    # columns can break t0 where the covered vertices are t0
+    for m in range(5):
+        for n in range(5):
+            for rows in all_matrices(m, n):
+                f = matrix_features(rows, n)
+                zero_columns = literal.transpose(rows, n).count(0)
+                assert f.t0 == (f.covered_t0 and zero_columns <= 1), rows
+
+
 def test_connected_implies_cover_and_intersecting_cover_is_connected():
     for m in range(1, 4):
         for n in range(2, 4):

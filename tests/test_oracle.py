@@ -405,8 +405,7 @@ def test_graph_classes_take_the_spec_budget(class_id, monkeypatch):
     # the graph classes count through the spec oracle, so they take its
     # budget: the unordered (6, 5) cell is priced at C(37, 6) > 2^20 row
     # multisets, and m = 21 exceeds max_cells.  Both exit 4 before any walk
-    # runs, also before the smaller walks of a `_03` class's sum over
-    # covered vertices.
+    # runs.
     from t0enum.cli import main
 
     def no_walk(*args):
